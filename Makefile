@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short race bench bench-json cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
+.PHONY: all build vet staticcheck test test-short race bench bench-json bench-fabric cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
 
 all: build vet race test
 
@@ -37,6 +37,21 @@ bench:
 # curve is recorded alongside the single-core baseline.
 bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_switchd.json $(GO) test -run '^$$' -bench BenchmarkSwitchdThroughput -benchmem -cpu 1,4 ./internal/switchd
+
+# Bare-fabric churn record: msw Add+Release with ~24 live sessions at
+# the two BENCHMARK.json shapes, one row per (label, GOMAXPROCS) in
+# BENCH_fabric.json with ns/op, allocs/op, B/op, nproc and GOMAXPROCS.
+# BEFORE=<git rev> also measures that commit: its tree is exported to a
+# temporary directory, this bench_test.go copied in (the benchmark only
+# uses the public multistage API), and its rows labelled "before".
+BENCH_FABRIC = BENCH_FABRIC_JSON=$(CURDIR)/BENCH_fabric.json $(GO) test -run '^$$' -bench BenchmarkFabricChurn -benchmem -benchtime 2s
+bench-fabric:
+	@if [ -n "$(BEFORE)" ]; then \
+	    tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	    git archive $(BEFORE) | tar -x -C $$tmp && cp bench_test.go $$tmp/ && \
+	    (cd $$tmp && BENCH_LABEL=before $(BENCH_FABRIC) .) || exit 1; \
+	fi
+	BENCH_LABEL=after $(BENCH_FABRIC) .
 
 # Per-package statement coverage for the serving and observability
 # packages.

@@ -7,8 +7,12 @@
 package repro
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/analytic"
@@ -232,6 +236,172 @@ func BenchmarkMultistageRouting(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFabricChurn measures the bare msw fabric under session
+// churn at the two shapes the end-to-end benchmark serves. About 24
+// sessions stay live: each iteration releases the oldest and adds the
+// next request of a seeded script, so one op is one Add plus one
+// Release. multicast-fanout draws uniform fanouts 1..32 on N=256, k=4,
+// r=16; unicast-cycle is unicast on N=64, k=2, r=8. Both run at the
+// sufficient bound, so no request blocks.
+//
+// With BENCH_FABRIC_JSON=<path> set, each shape writes one row per
+// (BENCH_LABEL, GOMAXPROCS) into that file; see `make bench-fabric`.
+func BenchmarkFabricChurn(b *testing.B) {
+	const live = 24
+	for _, sh := range []struct {
+		name            string
+		n, k, r, fanout int
+	}{
+		{"multicast-fanout", 256, 4, 16, 32},
+		{"unicast-cycle", 64, 2, 8, 1},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			net, err := multistage.New(multistage.Params{
+				N: sh.n, K: sh.k, R: sh.r, Model: wdm.MSW, Construction: multistage.MSWDominant, Lite: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			script := churnScript(sh.n, sh.k, sh.fanout, live, 4096, 1)
+			ids := make([]int, len(script))
+			// warm resets the fabric to the script's first live window.
+			warm := func() {
+				net.Reset()
+				for i := 0; i < live; i++ {
+					if ids[i], err = net.Add(script[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			warm()
+			var before, after runtime.MemStats
+			var mallocs, bytes uint64
+			measured := func() {
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+			next := live
+			b.ReportAllocs()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				if next == len(script) {
+					b.StopTimer()
+					measured()
+					warm()
+					next = live
+					runtime.ReadMemStats(&before)
+					b.StartTimer()
+				}
+				if err := net.Release(ids[next-live]); err != nil {
+					b.Fatal(err)
+				}
+				if ids[next], err = net.Add(script[next]); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			b.StopTimer()
+			measured()
+			if path := os.Getenv("BENCH_FABRIC_JSON"); path != "" {
+				label := os.Getenv("BENCH_LABEL")
+				if label == "" {
+					label = "after"
+				}
+				writeFabricRow(b, path, map[string]any{
+					"benchmark":     "BenchmarkFabricChurn/" + sh.name,
+					"label":         label,
+					"shape":         fmt.Sprintf("N=%d k=%d r=%d, fanout 1-%d, %d live", sh.n, sh.k, sh.r, sh.fanout, live),
+					"iterations":    b.N,
+					"ns_per_op":     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+					"allocs_per_op": float64(mallocs) / float64(b.N),
+					"bytes_per_op":  float64(bytes) / float64(b.N),
+					"nproc":         runtime.NumCPU(),
+					"gomaxprocs":    runtime.GOMAXPROCS(0),
+					"goos":          runtime.GOOS,
+					"goarch":        runtime.GOARCH,
+					"go":            runtime.Version(),
+				})
+			}
+		})
+	}
+}
+
+// churnScript returns steps requests for an N-port, k-wavelength MSW
+// fabric such that request i is admissible once requests i-live..i-1
+// are live and everything older is released (first in, first out).
+// Fanouts are uniform on 1..maxFanout; every slot of a request shares
+// the source wavelength.
+func churnScript(n, k, maxFanout, live, steps int, seed int64) []wdm.Connection {
+	rng := rand.New(rand.NewSource(seed))
+	busySrc := make([]bool, n*k)
+	busyDst := make([]bool, n*k)
+	script := make([]wdm.Connection, 0, steps)
+	for i := 0; i < steps; i++ {
+		if i >= live {
+			old := script[i-live]
+			busySrc[old.Source.Index(k)] = false
+			for _, d := range old.Dests {
+				busyDst[d.Index(k)] = false
+			}
+		}
+		var c wdm.Connection
+		for {
+			c.Source = wdm.PortWave{Port: wdm.Port(rng.Intn(n)), Wave: wdm.Wavelength(rng.Intn(k))}
+			if !busySrc[c.Source.Index(k)] {
+				break
+			}
+		}
+		fanout := 1 + rng.Intn(maxFanout)
+		for _, port := range rng.Perm(n) {
+			d := wdm.PortWave{Port: wdm.Port(port), Wave: c.Source.Wave}
+			if busyDst[d.Index(k)] {
+				continue
+			}
+			c.Dests = append(c.Dests, d)
+			if len(c.Dests) == fanout {
+				break
+			}
+		}
+		busySrc[c.Source.Index(k)] = true
+		for _, d := range c.Dests {
+			busyDst[d.Index(k)] = true
+		}
+		script = append(script, c)
+	}
+	return script
+}
+
+// writeFabricRow merges row into the JSON array at path, replacing any
+// row with the same benchmark, label and gomaxprocs.
+func writeFabricRow(b *testing.B, path string, row map[string]any) {
+	var rows []map[string]any
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &rows); err != nil {
+			b.Fatalf("%s: %v", path, err)
+		}
+	}
+	key := func(r map[string]any) string {
+		return fmt.Sprint(r["benchmark"], "|", r["label"], "|", r["gomaxprocs"])
+	}
+	kept := rows[:0]
+	for _, r := range rows {
+		if key(r) != key(row) {
+			kept = append(kept, r)
+		}
+	}
+	rows = append(kept, row)
+	sort.Slice(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		b.Fatal(err)
 	}
 }
 

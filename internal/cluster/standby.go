@@ -341,6 +341,10 @@ func (s *Standby) followOnce() error {
 	s.cfg.Logger.Info("following primary",
 		"shard", s.cfg.Shard, "primary", s.cfg.Primary, "have_seq", hs.HaveSeq)
 
+	// lastApplied is the highest sequence applied to the log, acked or
+	// not: a record's ack is deferred while more frames are buffered, so
+	// it can run ahead of appliedSeq until the next ack.
+	lastApplied := hs.HaveSeq
 	pendingAcks := 0
 	for {
 		typ, payload, err := readFrame(br)
@@ -370,12 +374,13 @@ func (s *Standby) followOnce() error {
 				sp.End()
 				return err
 			}
+			lastApplied = max(lastApplied, rec.Seq)
 			pendingAcks++
 			// Acknowledge when the stream drains or the batch cap hits:
 			// coalesced fsyncs under load, immediate ack for a lone
 			// record.
 			if br.Buffered() == 0 || pendingAcks >= standbyAckBatch {
-				if err := s.ackUpTo(bw, rec.Seq, sp); err != nil {
+				if err := s.ackUpTo(bw, lastApplied, sp); err != nil {
 					sp.End()
 					return err
 				}
@@ -392,7 +397,8 @@ func (s *Standby) followOnce() error {
 				return err
 			}
 			s.snapshots.Add(1)
-			if err := s.ackUpTo(bw, snap.LastSeq, nil); err != nil {
+			lastApplied = max(lastApplied, snap.LastSeq)
+			if err := s.ackUpTo(bw, lastApplied, nil); err != nil {
 				return err
 			}
 			pendingAcks = 0
@@ -402,9 +408,13 @@ func (s *Standby) followOnce() error {
 				return fmt.Errorf("cluster: decode heartbeat: %w", err)
 			}
 			s.primarySynced.Store(hb.SyncedSeq)
-			if err := s.ackUpTo(bw, s.appliedSeq.Load(), nil); err != nil {
+			// The ack covers every applied record, including those whose
+			// own ack was deferred because this heartbeat was already
+			// buffered behind them.
+			if err := s.ackUpTo(bw, lastApplied, nil); err != nil {
 				return err
 			}
+			pendingAcks = 0
 		case frameReject:
 			var rej rejectMsg
 			json.Unmarshal(payload, &rej)
@@ -418,7 +428,9 @@ func (s *Standby) followOnce() error {
 // acknowledges it. The fsync-before-ack order is the zero-loss
 // contract: the primary only releases acknowledged clients on
 // sequences the standby cannot lose. parent, when active, gets a
-// repl.fsync child span covering the durability barrier.
+// repl.fsync child span covering the durability barrier, and is ended
+// before seq is published: whoever sees AppliedSeq pass a record also
+// finds that record's apply trace recorded.
 func (s *Standby) ackUpTo(bw *bufio.Writer, seq uint64, parent *span.Span) error {
 	s.mu.Lock()
 	plane := s.plane
@@ -430,6 +442,7 @@ func (s *Standby) ackUpTo(bw *bufio.Writer, seq uint64, parent *span.Span) error
 		fs.SetError(err.Error())
 	}
 	fs.End()
+	parent.End()
 	if err != nil {
 		s.setFatal(fmt.Errorf("cluster: standby fsync: %w", err))
 		return err

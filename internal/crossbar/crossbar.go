@@ -50,8 +50,8 @@ type Switch struct {
 
 	conns   map[int]wdm.Connection
 	nextID  int
-	srcBusy map[wdm.PortWave]int // slot -> connection id
-	dstBusy map[wdm.PortWave]int
+	srcBusy wdm.SlotSet // input slots held
+	dstBusy wdm.SlotSet // output slots held
 }
 
 // New builds a square N x N crossbar switch of the given model. It panics
@@ -99,8 +99,8 @@ func newSwitch(model wdm.Model, shape wdm.Shape) *Switch {
 		shape:   shape,
 		model:   model,
 		conns:   make(map[int]wdm.Connection),
-		srcBusy: make(map[wdm.PortWave]int),
-		dstBusy: make(map[wdm.PortWave]int),
+		srcBusy: wdm.NewSlotSet(shape.In, shape.K),
+		dstBusy: wdm.NewSlotSet(shape.Out, shape.K),
 	}
 }
 
@@ -268,12 +268,10 @@ func (s *Switch) Len() int { return len(s.conns) }
 
 // SourceBusy reports whether an input slot is carrying a connection.
 func (s *Switch) SourceBusy(slot wdm.PortWave) bool {
-	_, busy := s.srcBusy[slot]
-	return busy
+	return s.srcBusy.Has(slot)
 }
 
 // DestBusy reports whether an output slot is carrying a connection.
 func (s *Switch) DestBusy(slot wdm.PortWave) bool {
-	_, busy := s.dstBusy[slot]
-	return busy
+	return s.dstBusy.Has(slot)
 }

@@ -3,6 +3,7 @@ package crossbar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -24,12 +25,12 @@ func (s *Switch) Add(c wdm.Connection) (int, error) {
 	if err := s.shape.CheckConnection(s.model, c); err != nil {
 		return 0, err
 	}
-	if id, busy := s.srcBusy[c.Source]; busy {
-		return 0, fmt.Errorf("crossbar: source slot %v already used by connection %d", c.Source, id)
+	if s.srcBusy.Has(c.Source) {
+		return 0, fmt.Errorf("crossbar: source slot %v already used by connection %d", c.Source, s.holder(c.Source, true))
 	}
 	for _, d := range c.Dests {
-		if id, busy := s.dstBusy[d]; busy {
-			return 0, fmt.Errorf("crossbar: destination slot %v already used by connection %d", d, id)
+		if s.dstBusy.Has(d) {
+			return 0, fmt.Errorf("crossbar: destination slot %v already used by connection %d", d, s.holder(d, false))
 		}
 	}
 
@@ -42,11 +43,23 @@ func (s *Switch) Add(c wdm.Connection) (int, error) {
 		s.fab.Inject(c.Source, id)
 	}
 	s.conns[id] = c
-	s.srcBusy[c.Source] = id
+	s.srcBusy.Add(c.Source)
 	for _, d := range c.Dests {
-		s.dstBusy[d] = id
+		s.dstBusy.Add(d)
 	}
 	return id, nil
+}
+
+// holder returns the id of the held connection using slot as its
+// source (src) or as a destination, or -1. Only error messages need it:
+// the busy sets say whether a slot is held, not by whom.
+func (s *Switch) holder(slot wdm.PortWave, src bool) int {
+	for id, c := range s.conns {
+		if src && c.Source == slot || !src && slices.Contains(c.Dests, slot) {
+			return id
+		}
+	}
+	return -1
 }
 
 // configureFabric turns a connection's gates (and converters) on or off.
@@ -96,9 +109,9 @@ func (s *Switch) Release(id int) error {
 		s.configureFabric(c, false)
 	}
 	delete(s.conns, id)
-	delete(s.srcBusy, c.Source)
+	s.srcBusy.Remove(c.Source)
 	for _, d := range c.Dests {
-		delete(s.dstBusy, d)
+		s.dstBusy.Remove(d)
 	}
 	if s.fab != nil {
 		// Re-derive injections from the surviving connections.

@@ -41,56 +41,36 @@ func (net *Network) awgWave(a, p int) wdm.Wavelength {
 
 // addAWG routes a connection under the AWG-Clos construction: one
 // middle per destination module, each leg on its forced class
-// wavelength. Called by Add with the admissibility checks done.
-func (net *Network) addAWG(c wdm.Connection, srcMod int, srcLocal wdm.Port,
-	destsByMod map[int][]wdm.PortWave, fanMods []int) (int, error) {
-
+// wavelength. Called by Add with the admissibility checks done and the
+// destinations grouped into scratch.
+func (net *Network) addAWG(c wdm.Connection, srcMod int, srcLocal wdm.Port) (int, error) {
+	sc := &net.scratch
+	fanMods := sc.fanMods
 	if len(fanMods) > net.params.X {
 		net.blockedCount++
 		return 0, &BlockedError{
 			Detail: fmt.Sprintf("AWG-Clos: %d destination modules need %d middles, split limit x=%d",
 				len(fanMods), len(fanMods), net.params.X),
-			Report: net.blockReport("add", c, srcMod, -1, nil, fanMods, 0),
+			Report: net.blockReport("add", c, srcMod, anyWave, fanMods, 0),
 		}
 	}
 
-	assign := make(map[int][]int, len(fanMods))
-	plan := &wavePlan{
-		in:  make(map[int]wdm.Wavelength, len(fanMods)),
-		out: make(map[[2]int]wdm.Wavelength, len(fanMods)),
-	}
 	for i, p := range fanMods {
 		w := net.awgWave(srcMod, p)
-		found := -1
-		for j := range net.midMods {
-			if net.failedMid[j] {
-				continue
-			}
-			if _, taken := assign[j]; taken {
-				continue // already carries another leg of this connection
-			}
-			if net.inLink[srcMod][j][w] != freeLink || net.outLink[j][p][w] != freeLink {
-				continue
-			}
-			found = j
-			break
-		}
+		found := net.awgMiddle(srcMod, p)
 		if found < 0 {
 			net.blockedCount++
 			return 0, &BlockedError{
 				Code: CodeWavelengthConflict,
 				Detail: fmt.Sprintf("AWG-Clos: no middle with class wavelength λ%d free on both %d->mid and mid->%d (λ = (dest-src) mod k)",
 					w, srcMod, p),
-				Report: net.blockReport("add", c, srcMod, w, assign, fanMods[i:], i),
+				Report: net.blockReport("add", c, srcMod, w, fanMods[i:], i),
 			}
 		}
-		net.observeSelected(i, found, int(w), []int{p})
-		assign[found] = []int{p}
-		plan.in[found] = w
-		plan.out[[2]int{found, p}] = w
+		net.observeSelected(i, found, int(w), net.pickAWG(found, p))
 	}
 
-	id, err := net.commit(c, srcMod, srcLocal, destsByMod, assign, -1, plan)
+	id, err := net.commit(c, srcMod, srcLocal, anyWave)
 	if err != nil {
 		net.blockedCount++
 		return 0, err
@@ -99,40 +79,56 @@ func (net *Network) addAWG(c wdm.Connection, srcMod int, srcLocal wdm.Port,
 	return id, nil
 }
 
-// explainAWG mirrors addAWG's per-destination middle scan for Explain's
-// dry run: one round per destination module, the class wavelength as
-// the only candidate on both hops.
+// awgMiddle returns the first middle that can carry the leg from input
+// module a to output module p, or -1: in service, not yet carrying a
+// leg of this connection (scratch.picked), and free on the class
+// wavelength on both hops.
+func (net *Network) awgMiddle(a, p int) int {
+	w := int(net.awgWave(a, p))
+	in := net.inSet(a, w)
+	for j := range net.midMods {
+		if hasBit(net.failed, j) || hasBit(net.scratch.picked, j) {
+			continue
+		}
+		if !hasBit(in, j) && !hasBit(net.outSet(j, w), p) {
+			return j
+		}
+	}
+	return -1
+}
+
+// pickAWG records middle j as serving output module p and returns its
+// serve row.
+func (net *Network) pickAWG(j, p int) []uint64 {
+	row := net.serveRow(j)
+	clear(row)
+	setBit(row, p)
+	setBit(net.scratch.picked, j)
+	return row
+}
+
+// explainAWG runs addAWG's per-destination middle scan for Explain's
+// dry run, past the first failure: one round per destination module,
+// the class wavelength as the only candidate on both hops.
 func (net *Network) explainAWG(ex *Explanation) {
 	for j := range net.midMods {
-		if net.failedMid[j] {
+		if hasBit(net.failed, j) {
 			ex.Unavailable = append(ex.Unavailable, j)
 		} else {
 			ex.Available = append(ex.Available, j)
 		}
 	}
-	taken := make(map[int]bool, len(ex.DestMods))
+	clear(net.scratch.picked)
 	for _, p := range ex.DestMods {
-		if len(ex.Rounds) >= net.params.X {
-			ex.Residual = append(ex.Residual, p)
-			continue
-		}
-		w := net.awgWave(ex.SourceMod, p)
 		found := -1
-		for j := range net.midMods {
-			if net.failedMid[j] || taken[j] {
-				continue
-			}
-			if net.inLink[ex.SourceMod][j][w] != freeLink || net.outLink[j][p][w] != freeLink {
-				continue
-			}
-			found = j
-			break
+		if len(ex.Rounds) < net.params.X {
+			found = net.awgMiddle(ex.SourceMod, p)
 		}
 		if found < 0 {
 			ex.Residual = append(ex.Residual, p)
 			continue
 		}
-		taken[found] = true
+		net.pickAWG(found, p)
 		ex.Rounds = append(ex.Rounds, Candidate{Middle: found, Serves: []int{p}, Chosen: true})
 	}
 	ex.Routable = len(ex.Residual) == 0

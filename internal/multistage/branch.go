@@ -3,7 +3,7 @@ package multistage
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wdm"
 )
@@ -53,8 +53,8 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 		return err
 	}
 	for _, d := range dests {
-		if owner, busy := net.dstBusy[d]; busy {
-			return fmt.Errorf("multistage: destination slot %v already used by connection %d", d, owner)
+		if net.dstBusy.Has(d) {
+			return fmt.Errorf("multistage: destination slot %v already used by connection %d", d, net.holder(d, false))
 		}
 	}
 
@@ -97,16 +97,14 @@ func (rc *routed) snapshot() *routed {
 		conn:     rc.conn.Clone(),
 		srcMod:   rc.srcMod,
 		inConnID: -1,
-		midConn:  make(map[int]int, len(rc.midConn)),
-		outConn:  make(map[int]int, len(rc.outConn)),
-		inWave:   make(map[int]wdm.Wavelength, len(rc.inWave)),
-		outWave:  make(map[[2]int]wdm.Wavelength, len(rc.outWave)),
+		legs:     slices.Clone(rc.legs),
+		hops:     slices.Clone(rc.hops),
 	}
-	for j, w := range rc.inWave {
-		cp.inWave[j] = w
+	for i := range cp.legs {
+		cp.legs[i].cid = -1
 	}
-	for jp, w := range rc.outWave {
-		cp.outWave[jp] = w
+	for i := range cp.hops {
+		cp.hops[i].cid = -1
 	}
 	return cp
 }
@@ -122,115 +120,32 @@ func (net *Network) reinstall(id int, rc *routed) error {
 	if _, clash := net.conns[id]; clash {
 		return fmt.Errorf("multistage: reinstall: id %d already live", id)
 	}
-	srcMod := rc.srcMod
-	_, srcLocal := net.splitPort(rc.conn.Source.Port)
-
 	// Every recorded link claim must be free before anything is touched;
 	// a conflict means the route was never fully released.
-	for j, w := range rc.inWave {
-		if net.inLink[srcMod][j][w] != freeLink {
-			return fmt.Errorf("multistage: reinstall: link %d->mid%d λ%d not free", srcMod, j, w)
+	for _, l := range rc.legs {
+		if net.inLink[rc.srcMod][l.Middle][l.Wave] != freeLink {
+			return fmt.Errorf("multistage: reinstall: link %d->mid%d λ%d not free", rc.srcMod, l.Middle, l.Wave)
 		}
 	}
-	for jp, w := range rc.outWave {
-		if net.outLink[jp[0]][jp[1]][w] != freeLink {
-			return fmt.Errorf("multistage: reinstall: link mid%d->%d λ%d not free", jp[0], jp[1], w)
-		}
-	}
-
-	middles := make([]int, 0, len(rc.inWave))
-	for j := range rc.inWave {
-		middles = append(middles, j)
-	}
-	sort.Ints(middles)
-
-	serve := make(map[int][]int, len(middles)) // middle j -> output modules
-	for jp := range rc.outWave {
-		serve[jp[0]] = append(serve[jp[0]], jp[1])
-	}
-	for j := range serve {
-		sort.Ints(serve[j])
-	}
-
-	destsByMod := make(map[int][]wdm.PortWave)
-	for _, d := range rc.conn.Dests {
-		p, local := net.splitPort(d.Port)
-		destsByMod[p] = append(destsByMod[p], wdm.PortWave{Port: local, Wave: d.Wave})
-	}
-
-	rollback := func() {
-		if rc.inConnID >= 0 {
-			_ = net.inMods[srcMod].Release(rc.inConnID)
-			rc.inConnID = -1
-		}
-		for j, cid := range rc.midConn {
-			_ = net.midMods[j].Release(cid)
-			delete(rc.midConn, j)
-		}
-		for p, cid := range rc.outConn {
-			_ = net.outMods[p].Release(cid)
-			delete(rc.outConn, p)
-		}
-		for j, w := range rc.inWave {
-			net.free(net.inLink[srcMod][j], w)
-		}
-		for jp, w := range rc.outWave {
-			net.free(net.outLink[jp[0]][jp[1]], w)
+	for _, hp := range rc.hops {
+		if net.outLink[hp.Middle][hp.Out][hp.Wave] != freeLink {
+			return fmt.Errorf("multistage: reinstall: link mid%d->%d λ%d not free", hp.Middle, hp.Out, hp.Wave)
 		}
 	}
 
 	// Re-claim the recorded link wavelengths, then re-install the module
 	// sub-connections they carried.
-	for j, w := range rc.inWave {
-		net.claim(net.inLink[srcMod][j], w, id)
+	for _, l := range rc.legs {
+		net.claimIn(rc.srcMod, l.Middle, l.Wave, id)
 	}
-	for jp, w := range rc.outWave {
-		net.claim(net.outLink[jp[0]][jp[1]], w, id)
+	for _, hp := range rc.hops {
+		net.claimOut(hp.Middle, hp.Out, hp.Wave, id)
 	}
-
-	inConn := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}}
-	for _, j := range middles {
-		inConn.Dests = append(inConn.Dests, wdm.PortWave{Port: wdm.Port(j), Wave: rc.inWave[j]})
+	net.groupDests(rc.conn)
+	_, srcLocal := net.splitPort(rc.conn.Source.Port)
+	if err := net.install(rc, srcLocal, "multistage: reinstall"); err != nil {
+		return err
 	}
-	cid, err := net.inMods[srcMod].Add(inConn)
-	if err != nil {
-		rollback()
-		return fmt.Errorf("multistage: reinstall: input module %d rejected %v: %w", srcMod, inConn, err)
-	}
-	rc.inConnID = cid
-
-	for _, j := range middles {
-		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(srcMod), Wave: rc.inWave[j]}}
-		for _, p := range serve[j] {
-			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(p), Wave: rc.outWave[[2]int{j, p}]})
-		}
-		cid, err := net.midMods[j].Add(mc)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("multistage: reinstall: middle module %d rejected %v: %w", j, mc, err)
-		}
-		rc.midConn[j] = cid
-	}
-
-	for _, j := range middles {
-		for _, p := range serve[j] {
-			oc := wdm.Connection{
-				Source: wdm.PortWave{Port: wdm.Port(j), Wave: rc.outWave[[2]int{j, p}]},
-				Dests:  destsByMod[p],
-			}
-			cid, err := net.outMods[p].Add(oc)
-			if err != nil {
-				rollback()
-				return fmt.Errorf("multistage: reinstall: output module %d rejected %v: %w", p, oc, err)
-			}
-			rc.outConn[p] = cid
-		}
-	}
-
-	net.conns[id] = rc
-	net.srcBusy[rc.conn.Source] = id
-	for _, d := range rc.conn.Dests {
-		net.dstBusy[d] = id
-	}
+	net.register(id, rc)
 	return nil
 }

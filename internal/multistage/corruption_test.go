@@ -61,6 +61,37 @@ func TestVerifyDetectsStolenLink(t *testing.T) {
 	t.Fatal("no held link found to corrupt")
 }
 
+func TestVerifyDetectsBusyBitDrift(t *testing.T) {
+	// The router searches the busy bitsets, not the id tables: a bit
+	// that disagrees with its table entry, in either direction, must
+	// fail Verify.
+	for _, set := range []bool{true, false} {
+		net := corruptibleNetwork(t)
+		flipped := false
+		for j := range net.outLink {
+			for p := range net.outLink[j] {
+				for w, v := range net.outLink[j][p] {
+					if flipped || (v == freeLink) != set {
+						continue
+					}
+					if set {
+						setBit(net.outSet(j, w), p)
+					} else {
+						clearBit(net.outSet(j, w), p)
+					}
+					flipped = true
+				}
+			}
+		}
+		if !flipped {
+			t.Fatalf("no link to corrupt (set=%v)", set)
+		}
+		if err := net.Verify(); err == nil || !strings.Contains(err.Error(), "busy bit") {
+			t.Fatalf("busy bit drift (set=%v) not detected: %v", set, err)
+		}
+	}
+}
+
 func TestVerifyDetectsModuleFault(t *testing.T) {
 	// Break an SOA gate inside a middle module carrying traffic: the
 	// per-module optical check must flag the middle stage.
@@ -113,8 +144,8 @@ func TestVerifyDetectsLostSubConnection(t *testing.T) {
 	net := corruptibleNetwork(t)
 	// Release a middle-module sub-connection behind the router's back.
 	for id, rc := range net.conns {
-		for j, cid := range rc.midConn {
-			if err := net.midMods[j].Release(cid); err != nil {
+		for _, l := range rc.legs {
+			if err := net.midMods[l.Middle].Release(l.cid); err != nil {
 				t.Fatal(err)
 			}
 			err := net.Verify()

@@ -51,11 +51,7 @@ func (net *Network) DumpState(w io.Writer) error {
 	fmt.Fprintf(w, "live connections (%d):\n", len(ids))
 	for _, id := range ids {
 		rc := net.conns[id]
-		mids := make([]int, 0, len(rc.midConn))
-		for j := range rc.midConn {
-			mids = append(mids, j)
-		}
-		sort.Ints(mids)
+		mids, _ := net.MiddlesUsed(id)
 		fmt.Fprintf(w, "  %3d: %v via middles %v\n", id, rc.conn, mids)
 	}
 	u := net.Utilization()
@@ -87,7 +83,7 @@ func (net *Network) WriteDOT(w io.Writer) error {
 			kind = fmt.Sprintf("%dx%d %d-stage", p.R, p.R, p.Depth-2)
 		}
 		style := ""
-		if net.failedMid[j] {
+		if hasBit(net.failed, j) {
 			style = `, style=filled, fillcolor="#ffb0b0"`
 		}
 		fmt.Fprintf(w, "  mid%d [label=\"MID %d\\n%s\"%s];\n", j, j, kind, style)

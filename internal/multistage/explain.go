@@ -2,6 +2,7 @@ package multistage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,12 +44,12 @@ func (net *Network) Explain(c wdm.Connection) (*Explanation, error) {
 	if err := net.Shape().CheckConnection(net.params.Model, c); err != nil {
 		return nil, err
 	}
-	if id, busy := net.srcBusy[c.Source]; busy {
-		return nil, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, id)
+	if net.srcBusy.Has(c.Source) {
+		return nil, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, net.holder(c.Source, true))
 	}
 	for _, d := range c.Dests {
-		if id, busy := net.dstBusy[d]; busy {
-			return nil, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, id)
+		if net.dstBusy.Has(d) {
+			return nil, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, net.holder(d, false))
 		}
 	}
 	c = c.Normalize()
@@ -76,60 +77,38 @@ func (net *Network) Explain(c wdm.Connection) (*Explanation, error) {
 		return ex, nil
 	}
 
-	ex.Available = net.availableMiddles(srcMod, c.Source.Wave)
-	availSet := map[int]bool{}
-	for _, j := range ex.Available {
-		availSet[j] = true
-	}
+	sc := &net.scratch
+	net.availableMiddles(sc.avail, srcMod, c.Source.Wave)
+	ex.Available = members(sc.avail)
 	for j := range net.midMods {
-		if !availSet[j] {
+		if !hasBit(sc.avail, j) {
 			ex.Unavailable = append(ex.Unavailable, j)
 		}
 	}
 
-	// Mirror Add's selection loop (kept in sync by
-	// TestExplainMatchesAdd), recording every candidate examined.
-	avail := append([]int(nil), ex.Available...)
-	residual := append([]int(nil), ex.DestMods...)
-	used := 0
-	for len(residual) > 0 && used < net.params.X && len(avail) > 0 {
-		bestIdx := -1
-		var bestCand Candidate
-		var bestResidual []int
-		for idx, j := range avail {
-			cand := Candidate{Middle: j}
-			var serve []int
-			for _, p := range residual {
-				if net.middleBlocked(j, p, ex.LastHopWave) {
-					cand.Blocked = append(cand.Blocked, p)
-				} else {
-					serve = append(serve, p)
-				}
-			}
-			if net.params.Strategy == FirstFit {
-				if len(serve) > 0 {
-					bestIdx, bestCand, bestResidual = idx, cand, cand.Blocked
-					bestCand.Serves = serve
-					break
-				}
-				continue
-			}
-			if bestIdx == -1 || len(cand.Blocked) < len(bestResidual) {
-				bestIdx, bestCand, bestResidual = idx, cand, cand.Blocked
-				bestCand.Serves = serve
-			}
-		}
-		if bestIdx == -1 || len(bestCand.Serves) == 0 {
-			break
-		}
-		bestCand.Chosen = true
-		ex.Rounds = append(ex.Rounds, bestCand)
-		residual = bestResidual
-		avail = append(avail[:bestIdx], avail[bestIdx+1:]...)
-		used++
+	// Run Add's selection loop, then replay its picks to record what
+	// each chosen middle found blocked in its round.
+	clear(sc.residual)
+	for _, p := range ex.DestMods {
+		setBit(sc.residual, p)
 	}
-	ex.Routable = len(residual) == 0
-	ex.Residual = residual
+	left := slices.Clone(sc.residual)
+	net.selectMiddles(ex.LastHopWave)
+	for _, j := range sc.order {
+		row := net.serveRow(j)
+		cand := Candidate{Middle: j, Serves: members(row), Chosen: true}
+		for p := nextBit(left, 0); p >= 0; p = nextBit(left, p+1) {
+			if !hasBit(row, p) {
+				cand.Blocked = append(cand.Blocked, p)
+			}
+		}
+		ex.Rounds = append(ex.Rounds, cand)
+		for i := range left {
+			left[i] &^= row[i]
+		}
+	}
+	ex.Residual = members(sc.residual)
+	ex.Routable = len(ex.Residual) == 0
 	return ex, nil
 }
 

@@ -55,11 +55,11 @@ func TestExplainMatchesAdd(t *testing.T) {
 			}
 			// The middles predicted must be exactly the ones carrying it.
 			rc := net.conns[id]
-			if len(rc.midConn) != len(ex.Rounds) {
-				t.Fatalf("step %d: predicted %d middles, used %d", i, len(ex.Rounds), len(rc.midConn))
+			if len(rc.legs) != len(ex.Rounds) {
+				t.Fatalf("step %d: predicted %d middles, used %d", i, len(ex.Rounds), len(rc.legs))
 			}
 			for _, cand := range ex.Rounds {
-				if _, used := rc.midConn[cand.Middle]; !used {
+				if !rc.rides(cand.Middle) {
 					t.Fatalf("step %d: predicted middle %d unused", i, cand.Middle)
 				}
 			}

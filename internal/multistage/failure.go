@@ -20,10 +20,7 @@ func (net *Network) FailMiddle(j int) error {
 	if j < 0 || j >= len(net.midMods) {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
-	if net.failedMid == nil {
-		net.failedMid = make(map[int]bool)
-	}
-	net.failedMid[j] = true
+	setBit(net.failed, j)
 	return nil
 }
 
@@ -32,17 +29,16 @@ func (net *Network) RepairMiddle(j int) error {
 	if j < 0 || j >= len(net.midMods) {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
-	delete(net.failedMid, j)
+	clearBit(net.failed, j)
 	return nil
 }
 
 // FailedMiddles lists the currently failed middle modules in order.
 func (net *Network) FailedMiddles() []int {
-	out := make([]int, 0, len(net.failedMid))
-	for j := range net.failedMid {
+	out := make([]int, 0, popCount(net.failed))
+	for j := nextBit(net.failed, 0); j >= 0; j = nextBit(net.failed, j+1) {
 		out = append(out, j)
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -51,7 +47,7 @@ func (net *Network) FailedMiddles() []int {
 func (net *Network) AffectedBy(j int) []int {
 	var out []int
 	for id, rc := range net.conns {
-		if _, uses := rc.midConn[j]; uses {
+		if rc.rides(j) {
 			out = append(out, id)
 		}
 	}
@@ -67,11 +63,10 @@ func (net *Network) MiddlesUsed(id int) ([]int, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]int, 0, len(rc.midConn))
-	for j := range rc.midConn {
-		out = append(out, j)
+	out := make([]int, 0, len(rc.legs))
+	for _, l := range rc.legs {
+		out = append(out, l.Middle)
 	}
-	sort.Ints(out)
 	return out, true
 }
 

@@ -172,12 +172,11 @@ func AsBlockReport(err error) (*BlockReport, bool) {
 }
 
 // blockReport assembles the forensic account of a blocking event from
-// the router's state at the failure point. assign holds the middles the
-// selection loop had already chosen (nil when none were available at
-// all), residual the output modules left uncovered, used the splits
-// committed.
+// the router's state at the failure point: the middles the selection
+// loop had already chosen are the ones picked in scratch, residual the
+// output modules left uncovered, used the splits committed.
 func (net *Network) blockReport(op string, c wdm.Connection, srcMod int,
-	lastHopWave wdm.Wavelength, assign map[int][]int, residual []int, used int) *BlockReport {
+	lastHopWave wdm.Wavelength, residual []int, used int) *BlockReport {
 
 	r := &BlockReport{
 		Op:          op,
@@ -192,24 +191,23 @@ func (net *Network) blockReport(op string, c wdm.Connection, srcMod int,
 	}
 	sort.Ints(r.Uncovered)
 	for j := range net.midMods {
-		r.Middles = append(r.Middles, net.diagnoseMiddle(j, c.Source.Wave, srcMod, lastHopWave, assign, r.Uncovered))
+		r.Middles = append(r.Middles, net.diagnoseMiddle(j, c.Source.Wave, srcMod, lastHopWave, r.Uncovered))
 	}
 	return r
 }
 
 // diagnoseMiddle classifies middle module j for a blocked request.
 func (net *Network) diagnoseMiddle(j int, srcWave wdm.Wavelength, srcMod int,
-	lastHopWave wdm.Wavelength, assign map[int][]int, uncovered []int) MiddleDiag {
+	lastHopWave wdm.Wavelength, uncovered []int) MiddleDiag {
 
 	md := MiddleDiag{Middle: j}
-	if net.failedMid[j] {
+	if hasBit(net.failed, j) {
 		md.State = MiddleFailed
 		return md
 	}
-	if serves, chosen := assign[j]; chosen {
+	if hasBit(net.scratch.picked, j) {
 		md.State = MiddleSelected
-		md.Serves = append([]int(nil), serves...)
-		sort.Ints(md.Serves)
+		md.Serves = members(net.serveRow(j))
 		return md
 	}
 	if net.params.Construction == AWGClos {
@@ -222,8 +220,9 @@ func (net *Network) diagnoseMiddle(j int, srcWave wdm.Wavelength, srcMod int,
 	}
 	// Reachable from the source: split the uncovered output modules into
 	// those this middle could still serve and those its out-links refuse.
+	blocked := net.blockedSet(net.scratch.blocked, j, lastHopWave)
 	for _, p := range uncovered {
-		if net.middleBlocked(j, p, lastHopWave) {
+		if hasBit(blocked, p) {
 			md.BlockedOut = append(md.BlockedOut, OutLinkDiag{
 				OutModule: p,
 				BusyWaves: net.outLinkBusyWaves(j, p, lastHopWave),
@@ -269,7 +268,7 @@ func (net *Network) inLinkCandidates(a, j int, srcWave wdm.Wavelength) (tried []
 }
 
 // outLinkBusyWaves lists the candidate wavelengths on the link j->p
-// that middleBlocked found occupied.
+// that blockedSet found occupied.
 func (net *Network) outLinkBusyWaves(j, p int, needWave wdm.Wavelength) []int {
 	link := net.outLink[j][p]
 	if net.params.ConservativeLinks && net.params.Construction == MAWDominant {

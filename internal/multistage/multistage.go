@@ -273,15 +273,38 @@ var (
 
 // routed records how one network connection is realized across modules.
 type routed struct {
-	conn wdm.Connection
-	// Module-level connection ids.
-	inConnID int // in input module srcMod
+	conn     wdm.Connection
 	srcMod   int
-	midConn  map[int]int // middle module j -> module connection id
-	outConn  map[int]int // output module p -> module connection id
-	// Link wavelengths occupied.
-	inWave  map[int]wdm.Wavelength    // middle j -> wavelength on link srcMod->j
-	outWave map[[2]int]wdm.Wavelength // (j, p) -> wavelength on link j->p
+	inConnID int // sub-connection id in input module srcMod; -1 until installed
+	// legs are the claimed input-stage links, ascending by middle; hops
+	// the claimed output-stage links, ascending by middle then output
+	// module. Each output module is reached through exactly one hop.
+	legs []routeLeg
+	hops []routeHop
+}
+
+// routeLeg is one claimed link srcMod->Middle together with the
+// connection's sub-connection id in that middle module.
+type routeLeg struct {
+	RouteLeg
+	cid int // -1 until installed
+}
+
+// routeHop is one claimed link Middle->Out together with the
+// connection's sub-connection id in output module Out.
+type routeHop struct {
+	RouteHop
+	cid int // -1 until installed
+}
+
+// rides reports whether the route passes through middle module j.
+func (rc *routed) rides(j int) bool {
+	for _, l := range rc.legs {
+		if l.Middle == j {
+			return true
+		}
+	}
+	return false
 }
 
 // Network is a live three-stage WDM multicast switching network.
@@ -294,19 +317,31 @@ type Network struct {
 	midMods []module           // m modules, r x r: crossbars, or nested Networks when Depth > 3
 	outMods []*crossbar.Switch // r modules, shape m x n
 
-	// Link occupancy: connection id or freeLink.
+	// Link occupancy, kept two ways by claim/free. inLink/outLink name
+	// the owning connection id (or freeLink) of every link wavelength:
+	// the record Verify, forensics and DumpState read. inBusy/outBusy
+	// hold the same occupancy as bitsets, which is what the router
+	// searches (see occupancy.go).
 	inLink  [][][]int // [r][m][k]: input module a -> middle j, wavelength w
 	outLink [][][]int // [m][r][k]: middle j -> output module p, wavelength w
+	inBusy  []uint64  // set over middles per (a, w); see inSet
+	outBusy []uint64  // set over output modules per (j, w); see outSet
+	// midWords and modWords are the word counts of a set over middles
+	// and over outer-stage modules.
+	midWords, modWords int
 	// waveUse[w] counts claimed link wavelengths per plane (for the
 	// MostUsed/LeastUsed wavelength-assignment policies).
 	waveUse []int
+	// failed is the set of middle modules out of service (see failure.go).
+	failed []uint64
 
 	conns   map[int]*routed
 	nextID  int
-	srcBusy map[wdm.PortWave]int
-	dstBusy map[wdm.PortWave]int
-	// failedMid marks middle modules out of service (see failure.go).
-	failedMid map[int]bool
+	srcBusy wdm.SlotSet
+	dstBusy wdm.SlotSet
+
+	// scratch is the per-call routing state, sized once at New.
+	scratch scratch
 
 	// Stats.
 	routedCount  int64
@@ -336,11 +371,13 @@ func New(p Params) (*Network, error) {
 	s12 := p.Construction.Stage12Model()
 	mid := p.Construction.MiddleModel()
 	net := &Network{
-		params:  p,
-		nPorts:  n,
-		conns:   make(map[int]*routed),
-		srcBusy: make(map[wdm.PortWave]int),
-		dstBusy: make(map[wdm.PortWave]int),
+		params:   p,
+		nPorts:   n,
+		conns:    make(map[int]*routed),
+		srcBusy:  wdm.NewSlotSet(p.N, k),
+		dstBusy:  wdm.NewSlotSet(p.N, k),
+		midWords: wordsFor(m),
+		modWords: wordsFor(r),
 	}
 	for a := 0; a < r; a++ {
 		net.inMods = append(net.inMods, mk(s12, n, m))
@@ -374,20 +411,28 @@ func New(p Params) (*Network, error) {
 	}
 	net.inLink = makeLinks(r, m, k)
 	net.outLink = makeLinks(m, r, k)
+	net.inBusy = make([]uint64, r*k*net.midWords)
+	net.outBusy = make([]uint64, m*k*net.modWords)
 	net.waveUse = make([]int, k)
+	net.failed = make([]uint64, net.midWords)
+	net.scratch = newScratch(n, r, m)
 	return net, nil
 }
 
+// makeLinks builds an a x b x k owner table, every entry freeLink. The
+// rows share one backing array, so a plane costs a+2 allocations, not
+// one per link.
 func makeLinks(a, b, k int) [][][]int {
+	cells := make([]int, a*b*k)
+	for i := range cells {
+		cells[i] = freeLink
+	}
 	l := make([][][]int, a)
 	for i := range l {
 		l[i] = make([][]int, b)
 		for j := range l[i] {
-			row := make([]int, k)
-			for w := range row {
-				row[w] = freeLink
-			}
-			l[i][j] = row
+			off := (i*b + j) * k
+			l[i][j] = cells[off : off+k : off+k]
 		}
 	}
 	return l

@@ -38,8 +38,9 @@ type RouteStep struct {
 // the Network; it must not call back into the Network.
 func (net *Network) SetRouteObserver(fn func(RouteStep)) { net.observer = fn }
 
-// observeSelected reports the middle chosen in one selection round.
-func (net *Network) observeSelected(round, middle int, srcWave int, serves []int) {
+// observeSelected reports the middle chosen in one selection round and
+// the output modules it serves.
+func (net *Network) observeSelected(round, middle int, srcWave int, serves []uint64) {
 	if net.observer == nil {
 		return
 	}
@@ -48,7 +49,7 @@ func (net *Network) observeSelected(round, middle int, srcWave int, serves []int
 		Middle: middle,
 		State:  MiddleSelected,
 		Wave:   srcWave,
-		Serves: append([]int(nil), serves...),
+		Serves: members(serves),
 	})
 }
 
@@ -60,7 +61,7 @@ func (net *Network) observeNoAvail(srcWave int) {
 	}
 	for j := range net.midMods {
 		st := MiddleInLinkBusy
-		if net.failedMid[j] {
+		if hasBit(net.failed, j) {
 			st = MiddleFailed
 		}
 		net.observer(RouteStep{Middle: j, State: st, Wave: srcWave})
@@ -71,14 +72,15 @@ func (net *Network) observeNoAvail(srcWave int) {
 // selection loop gave up with residual output modules uncovered: each
 // either hit the split limit (it could still serve something) or has
 // every residual out-link busy.
-func (net *Network) observeLoopBlocked(round int, avail, residual []int, lastHopWave int) {
+func (net *Network) observeLoopBlocked(round int, avail, residual []uint64, lastHopWave int) {
 	if net.observer == nil {
 		return
 	}
-	for _, j := range avail {
+	for j := nextBit(avail, 0); j >= 0; j = nextBit(avail, j+1) {
+		blocked := net.blockedSet(net.scratch.blocked, j, wdm.Wavelength(lastHopWave))
 		var serve, rejected []int
-		for _, p := range residual {
-			if net.middleBlocked(j, p, wdm.Wavelength(lastHopWave)) {
+		for p := nextBit(residual, 0); p >= 0; p = nextBit(residual, p+1) {
+			if hasBit(blocked, p) {
 				rejected = append(rejected, p)
 			} else {
 				serve = append(serve, p)

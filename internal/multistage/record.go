@@ -1,8 +1,9 @@
 package multistage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wdm"
 )
@@ -54,20 +55,17 @@ func (net *Network) RouteRecord(id int) (RouteRecord, bool) {
 	if !ok {
 		return RouteRecord{}, false
 	}
-	rec := RouteRecord{Conn: wdm.FormatConnection(rc.conn)}
-	for j, w := range rc.inWave {
-		rec.In = append(rec.In, RouteLeg{Middle: j, Wave: w})
+	rec := RouteRecord{
+		Conn: wdm.FormatConnection(rc.conn),
+		In:   make([]RouteLeg, len(rc.legs)),
+		Out:  make([]RouteHop, len(rc.hops)),
 	}
-	sort.Slice(rec.In, func(a, b int) bool { return rec.In[a].Middle < rec.In[b].Middle })
-	for jp, w := range rc.outWave {
-		rec.Out = append(rec.Out, RouteHop{Middle: jp[0], Out: jp[1], Wave: w})
+	for i, l := range rc.legs {
+		rec.In[i] = l.RouteLeg
 	}
-	sort.Slice(rec.Out, func(a, b int) bool {
-		if rec.Out[a].Middle != rec.Out[b].Middle {
-			return rec.Out[a].Middle < rec.Out[b].Middle
-		}
-		return rec.Out[a].Out < rec.Out[b].Out
-	})
+	for i, hp := range rc.hops {
+		rec.Out[i] = hp.RouteHop
+	}
 	return rec, true
 }
 
@@ -87,37 +85,48 @@ func (rec RouteRecord) decode(net *Network) (*routed, error) {
 		conn:     conn,
 		srcMod:   srcMod,
 		inConnID: -1,
-		midConn:  make(map[int]int, len(rec.In)),
-		outConn:  make(map[int]int, len(rec.Out)),
-		inWave:   make(map[int]wdm.Wavelength, len(rec.In)),
-		outWave:  make(map[[2]int]wdm.Wavelength, len(rec.Out)),
+		legs:     make([]routeLeg, 0, len(rec.In)),
+		hops:     make([]routeHop, 0, len(rec.Out)),
 	}
+	m, r := len(net.midMods), net.params.R
+	legSeen := make([]uint64, wordsFor(m))
+	hopSeen := make([]uint64, wordsFor(m*r))
 	for _, leg := range rec.In {
-		if leg.Middle < 0 || leg.Middle >= len(net.midMods) || int(leg.Wave) < 0 || int(leg.Wave) >= net.params.K {
+		if leg.Middle < 0 || leg.Middle >= m || int(leg.Wave) < 0 || int(leg.Wave) >= net.params.K {
 			return nil, fmt.Errorf("multistage: route record %q: input leg %+v out of range", rec.Conn, leg)
 		}
-		if _, dup := rc.inWave[leg.Middle]; dup {
+		if hasBit(legSeen, leg.Middle) {
 			return nil, fmt.Errorf("multistage: route record %q: duplicate input leg for middle %d", rec.Conn, leg.Middle)
 		}
-		rc.inWave[leg.Middle] = leg.Wave
+		setBit(legSeen, leg.Middle)
+		rc.legs = append(rc.legs, routeLeg{leg, -1})
 	}
 	for _, hop := range rec.Out {
-		if hop.Middle < 0 || hop.Middle >= len(net.midMods) || hop.Out < 0 || hop.Out >= net.params.R ||
+		if hop.Middle < 0 || hop.Middle >= m || hop.Out < 0 || hop.Out >= r ||
 			int(hop.Wave) < 0 || int(hop.Wave) >= net.params.K {
 			return nil, fmt.Errorf("multistage: route record %q: output hop %+v out of range", rec.Conn, hop)
 		}
 		key := [2]int{hop.Middle, hop.Out}
-		if _, dup := rc.outWave[key]; dup {
+		if hasBit(hopSeen, hop.Middle*r+hop.Out) {
 			return nil, fmt.Errorf("multistage: route record %q: duplicate output hop %v", rec.Conn, key)
 		}
-		if _, have := rc.inWave[hop.Middle]; !have {
+		if !hasBit(legSeen, hop.Middle) {
 			return nil, fmt.Errorf("multistage: route record %q: output hop rides middle %d with no input leg", rec.Conn, hop.Middle)
 		}
-		rc.outWave[key] = hop.Wave
+		setBit(hopSeen, hop.Middle*r+hop.Out)
+		rc.hops = append(rc.hops, routeHop{hop, -1})
 	}
-	if len(rc.inWave) == 0 {
+	if len(rc.legs) == 0 {
 		return nil, fmt.Errorf("multistage: route record %q: no input legs", rec.Conn)
 	}
+	// Install in the canonical order whatever order the record lists.
+	slices.SortFunc(rc.legs, func(a, b routeLeg) int { return cmp.Compare(a.Middle, b.Middle) })
+	slices.SortFunc(rc.hops, func(a, b routeHop) int {
+		if a.Middle != b.Middle {
+			return cmp.Compare(a.Middle, b.Middle)
+		}
+		return cmp.Compare(a.Out, b.Out)
+	})
 	return rc, nil
 }
 
@@ -133,12 +142,12 @@ func (net *Network) Reinstall(rec RouteRecord) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if owner, busy := net.srcBusy[rc.conn.Source]; busy {
-		return 0, fmt.Errorf("multistage: reinstall %q: source slot used by connection %d", rec.Conn, owner)
+	if net.srcBusy.Has(rc.conn.Source) {
+		return 0, fmt.Errorf("multistage: reinstall %q: source slot used by connection %d", rec.Conn, net.holder(rc.conn.Source, true))
 	}
 	for _, d := range rc.conn.Dests {
-		if owner, busy := net.dstBusy[d]; busy {
-			return 0, fmt.Errorf("multistage: reinstall %q: destination slot %v used by connection %d", rec.Conn, d, owner)
+		if net.dstBusy.Has(d) {
+			return 0, fmt.Errorf("multistage: reinstall %q: destination slot %v used by connection %d", rec.Conn, d, net.holder(d, false))
 		}
 	}
 	id := net.nextID

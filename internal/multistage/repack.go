@@ -97,15 +97,11 @@ func (net *Network) remapID(from, to int) {
 		panic(fmt.Sprintf("multistage: remapID: id %d already live", to))
 	}
 	delete(net.conns, from)
-	net.conns[to] = rc
-	net.srcBusy[rc.conn.Source] = to
-	for _, d := range rc.conn.Dests {
-		net.dstBusy[d] = to
+	net.register(to, rc)
+	for _, l := range rc.legs {
+		net.inLink[rc.srcMod][l.Middle][l.Wave] = to
 	}
-	for j, w := range rc.inWave {
-		net.inLink[rc.srcMod][j][w] = to
-	}
-	for jp, w := range rc.outWave {
-		net.outLink[jp[0]][jp[1]][w] = to
+	for _, hp := range rc.hops {
+		net.outLink[hp.Middle][hp.Out][hp.Wave] = to
 	}
 }

@@ -3,6 +3,7 @@ package multistage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/wdm"
@@ -28,35 +29,26 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 	if err := sh.CheckConnection(net.params.Model, c); err != nil {
 		return 0, err
 	}
-	if id, busy := net.srcBusy[c.Source]; busy {
-		return 0, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, id)
+	if net.srcBusy.Has(c.Source) {
+		return 0, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, net.holder(c.Source, true))
 	}
 	for _, d := range c.Dests {
-		if id, busy := net.dstBusy[d]; busy {
-			return 0, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, id)
+		if net.dstBusy.Has(d) {
+			return 0, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, net.holder(d, false))
 		}
 	}
 	c = c.Normalize()
 
 	srcMod, srcLocal := net.splitPort(c.Source.Port)
 	srcWave := c.Source.Wave
-
-	// Group destinations by output module.
-	destsByMod := make(map[int][]wdm.PortWave)
-	for _, d := range c.Dests {
-		p, local := net.splitPort(d.Port)
-		destsByMod[p] = append(destsByMod[p], wdm.PortWave{Port: local, Wave: d.Wave})
-	}
-	fanMods := make([]int, 0, len(destsByMod))
-	for p := range destsByMod {
-		fanMods = append(fanMods, p)
-	}
-	sort.Ints(fanMods)
+	net.groupDests(c)
+	sc := &net.scratch
+	clear(sc.picked)
 
 	if net.params.Construction == AWGClos {
 		// The passive middle stage fixes every wavelength; the greedy
 		// cover below does not apply (one middle per destination module).
-		return net.addAWG(c, srcMod, srcLocal, destsByMod, fanMods)
+		return net.addAWG(c, srcMod, srcLocal)
 	}
 
 	// lastHopWave returns the wavelength the link j->p must carry for
@@ -67,7 +59,6 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 	//     implies that wavelength is srcWave);
 	//   - MSDW/MAW output modules have converters, so under MAW-dominant
 	//     any free wavelength works.
-	anyWave := wdm.Wavelength(-1)
 	lastHopWave := anyWave
 	if net.params.Construction == MSWDominant || net.params.Model == wdm.MSW {
 		lastHopWave = srcWave
@@ -75,68 +66,37 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 
 	// Available middle modules for this source (Section 3.1): those whose
 	// input-stage link can still carry the connection.
-	avail := net.availableMiddles(srcMod, srcWave)
-	if len(avail) == 0 {
+	net.availableMiddles(sc.avail, srcMod, srcWave)
+	if isEmpty(sc.avail) {
 		net.observeNoAvail(int(srcWave))
 		net.blockedCount++
 		return 0, &BlockedError{
 			Detail: fmt.Sprintf("no available middle module from input module %d on λ%d (x=%d)",
 				srcMod, srcWave, net.params.X),
-			Report: net.blockReport("add", c, srcMod, lastHopWave, nil, fanMods, 0),
+			Report: net.blockReport("add", c, srcMod, lastHopWave, sc.fanMods, 0),
 		}
 	}
 
-	// Cover the destination modules with at most X middle modules
-	// (Lemma 4 with the multiset semantics of Eqs. 2-5 when links carry
-	// k wavelengths). The certified strategy repeatedly picks the
-	// available middle module whose blocked set leaves the smallest
-	// residual; FirstFit takes the lowest-indexed one making progress.
-	assign := make(map[int][]int) // middle j -> output modules served
-	residual := append([]int(nil), fanMods...)
-	used := 0
-	for len(residual) > 0 && used < net.params.X && len(avail) > 0 {
-		bestJ, bestIdx := -1, -1
-		var bestResidual, bestServe []int
-		for idx, j := range avail {
-			var blockedR, serve []int
-			for _, p := range residual {
-				if net.middleBlocked(j, p, lastHopWave) {
-					blockedR = append(blockedR, p)
-				} else {
-					serve = append(serve, p)
-				}
-			}
-			if net.params.Strategy == FirstFit {
-				if len(serve) > 0 {
-					bestJ, bestIdx, bestResidual, bestServe = j, idx, blockedR, serve
-					break
-				}
-				continue
-			}
-			if bestJ == -1 || len(blockedR) < len(bestResidual) {
-				bestJ, bestIdx, bestResidual, bestServe = j, idx, blockedR, serve
-			}
-		}
-		if len(bestServe) == 0 {
-			break // no available module makes progress
-		}
-		net.observeSelected(used, bestJ, int(srcWave), bestServe)
-		assign[bestJ] = bestServe
-		residual = bestResidual
-		avail = append(avail[:bestIdx], avail[bestIdx+1:]...)
-		used++
+	clear(sc.residual)
+	for _, p := range sc.fanMods {
+		setBit(sc.residual, p)
 	}
-	if len(residual) > 0 {
-		net.observeLoopBlocked(used, avail, residual, int(lastHopWave))
+	net.selectMiddles(lastHopWave)
+	for round, j := range sc.order {
+		net.observeSelected(round, j, int(srcWave), net.serveRow(j))
+	}
+	if used := len(sc.order); !isEmpty(sc.residual) {
+		net.observeLoopBlocked(used, sc.avail, sc.residual, int(lastHopWave))
 		net.blockedCount++
+		residual := members(sc.residual)
 		return 0, &BlockedError{
 			Detail: fmt.Sprintf("%d destination module(s) uncovered after %d of %d splits (source %v)",
 				len(residual), used, net.params.X, c.Source),
-			Report: net.blockReport("add", c, srcMod, lastHopWave, assign, residual, used),
+			Report: net.blockReport("add", c, srcMod, lastHopWave, residual, used),
 		}
 	}
 
-	id, err := net.commit(c, srcMod, srcLocal, destsByMod, assign, lastHopWave, nil)
+	id, err := net.commit(c, srcMod, srcLocal, lastHopWave)
 	if err != nil {
 		net.blockedCount++
 		return 0, err
@@ -145,94 +105,63 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 	return id, nil
 }
 
-// availableMiddles lists middle modules whose link from input module a
-// can carry a new connection entering on srcWave.
-func (net *Network) availableMiddles(a int, srcWave wdm.Wavelength) []int {
-	var out []int
-	for j := range net.midMods {
-		if net.failedMid[j] {
-			continue // out of service
-		}
-		if net.params.Construction == MSWDominant {
-			// First two stages cannot retune: the connection's own
-			// wavelength must be free on the link.
-			if net.inLink[a][j][srcWave] == freeLink {
-				out = append(out, j)
+// anyWave as a wavelength constraint means any free wavelength will do.
+const anyWave = wdm.Wavelength(-1)
+
+// selectMiddles covers the output modules in scratch.residual with at
+// most X middles from scratch.avail (Lemma 4, with the multiset
+// semantics of Eqs. 2-5 when links carry k wavelengths). The certified
+// strategy picks, each round, the first candidate whose blocked set
+// leaves the smallest residual; FirstFit takes the first candidate that
+// covers anything. Each pick lands in order, picked and its serve row;
+// residual is left holding what stays uncovered and avail the
+// candidates not picked.
+func (net *Network) selectMiddles(lastHopWave wdm.Wavelength) {
+	sc := &net.scratch
+	sc.order = sc.order[:0]
+	clear(sc.picked)
+	left := popCount(sc.residual)
+	for left > 0 && len(sc.order) < net.params.X && !isEmpty(sc.avail) {
+		best, bestBlocked := -1, 0
+		for j := nextBit(sc.avail, 0); j >= 0; j = nextBit(sc.avail, j+1) {
+			nb := countAnd(sc.residual, net.blockedSet(sc.blocked, j, lastHopWave))
+			if net.params.Strategy == FirstFit {
+				if nb < left {
+					best, bestBlocked = j, nb
+					break
+				}
+				continue
 			}
-			continue
-		}
-		if net.params.ConservativeLinks {
-			// Set-semantics ablation: a touched link is off limits.
-			if linkUntouched(net.inLink[a][j]) {
-				out = append(out, j)
-			}
-			continue
-		}
-		// MAW-dominant: any free wavelength will do.
-		for w := 0; w < net.params.K; w++ {
-			if net.inLink[a][j][w] == freeLink {
-				out = append(out, j)
-				break
+			if best == -1 || nb < bestBlocked {
+				best, bestBlocked = j, nb
+				if nb == 0 {
+					break // nothing later can beat a full cover
+				}
 			}
 		}
+		if best == -1 || bestBlocked == left {
+			break // no available module makes progress
+		}
+		row, blocked := net.serveRow(best), net.blockedSet(sc.blocked, best, lastHopWave)
+		for i := range row {
+			row[i] = sc.residual[i] &^ blocked[i]
+			sc.residual[i] &= blocked[i]
+		}
+		clearBit(sc.avail, best)
+		setBit(sc.picked, best)
+		sc.order = append(sc.order, best)
+		left = bestBlocked
 	}
-	return out
 }
 
-// middleBlocked reports whether middle module j cannot reach output
-// module p for this connection. needWave == -1 means any free wavelength
-// on the link j->p suffices (the multiset multiplicity-k test of Eq. 4);
-// otherwise that specific wavelength must be free.
-func (net *Network) middleBlocked(j, p int, needWave wdm.Wavelength) bool {
-	if net.params.ConservativeLinks && net.params.Construction == MAWDominant {
-		return !linkUntouched(net.outLink[j][p])
+// pickWave chooses the wavelength a link claim takes: need when it is
+// pinned (>= 0) and free, otherwise a free wavelength chosen by the
+// wavelength-assignment policy.
+func (net *Network) pickWave(link []int, need wdm.Wavelength) (wdm.Wavelength, bool) {
+	if need >= 0 {
+		return need, link[need] == freeLink
 	}
-	if needWave >= 0 {
-		return net.outLink[j][p][needWave] != freeLink
-	}
-	for w := 0; w < net.params.K; w++ {
-		if net.outLink[j][p][w] == freeLink {
-			return false
-		}
-	}
-	return true
-}
-
-func linkUntouched(waves []int) bool {
-	for _, v := range waves {
-		if v != freeLink {
-			return false
-		}
-	}
-	return true
-}
-
-// pickInWave chooses the wavelength for the link srcMod->j.
-func (net *Network) pickInWave(a, j int, srcWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if net.params.Construction == MSWDominant {
-		if net.inLink[a][j][srcWave] != freeLink {
-			return 0, fmt.Errorf("multistage: internal error: link %d->mid%d λ%d not free", a, j, srcWave)
-		}
-		return srcWave, nil
-	}
-	if w, ok := net.pickFreeWave(net.inLink[a][j]); ok {
-		return w, nil
-	}
-	return 0, fmt.Errorf("multistage: internal error: link %d->mid%d has no free wavelength", a, j)
-}
-
-// pickOutWave chooses the wavelength for the link j->p.
-func (net *Network) pickOutWave(j, p int, needWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if needWave >= 0 {
-		if net.outLink[j][p][needWave] != freeLink {
-			return 0, fmt.Errorf("multistage: internal error: link mid%d->%d λ%d not free", j, p, needWave)
-		}
-		return needWave, nil
-	}
-	if w, ok := net.pickFreeWave(net.outLink[j][p]); ok {
-		return w, nil
-	}
-	return 0, fmt.Errorf("multistage: internal error: link mid%d->%d has no free wavelength", j, p)
+	return net.pickFreeWave(link)
 }
 
 // pickFreeWave selects a free wavelength on the link according to the
@@ -262,169 +191,169 @@ func (net *Network) pickFreeWave(link []int) (wdm.Wavelength, bool) {
 	return wdm.Wavelength(best), found
 }
 
-// claim and free update link occupancy together with the per-plane usage
-// counters the wavelength policies consult.
-func (net *Network) claim(link []int, w wdm.Wavelength, id int) {
-	link[w] = id
-	net.waveUse[w]++
-}
-
-func (net *Network) free(link []int, w wdm.Wavelength) {
-	link[w] = freeLink
-	net.waveUse[w]--
-}
-
-// wavePlan carries pre-resolved link wavelengths for constructions
-// whose physics fix them (AWG-Clos): commit claims exactly these
-// instead of consulting the wavelength-assignment policy.
-type wavePlan struct {
-	in  map[int]wdm.Wavelength    // middle j -> wavelength on link srcMod->j
-	out map[[2]int]wdm.Wavelength // (j, p) -> wavelength on link j->p
-}
-
-// planInWave resolves the wavelength for the link a->j: the plan's
-// entry when a plan is given (verified free), else the policy pick.
-func (net *Network) planInWave(plan *wavePlan, a, j int, srcWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if plan == nil {
-		return net.pickInWave(a, j, srcWave)
+// commit materializes the chosen routing in scratch (picked middles and
+// their serve rows): it occupies link wavelengths and installs the
+// per-module sub-connections, rolling back on any internal
+// inconsistency. Links are claimed middle by middle in ascending order,
+// each middle's output links in ascending order, so the wavelength
+// policies see a deterministic sequence.
+func (net *Network) commit(c wdm.Connection, srcMod int, srcLocal wdm.Port, lastHopWave wdm.Wavelength) (int, error) {
+	sc := &net.scratch
+	nHops := 0
+	for j := nextBit(sc.picked, 0); j >= 0; j = nextBit(sc.picked, j+1) {
+		nHops += popCount(net.serveRow(j))
 	}
-	w, ok := plan.in[j]
-	if !ok {
-		return 0, fmt.Errorf("multistage: internal error: no planned wavelength for link %d->mid%d", a, j)
-	}
-	if net.inLink[a][j][w] != freeLink {
-		return 0, fmt.Errorf("multistage: internal error: planned link %d->mid%d λ%d not free", a, j, w)
-	}
-	return w, nil
-}
-
-// planOutWave resolves the wavelength for the link j->p.
-func (net *Network) planOutWave(plan *wavePlan, j, p int, lastHopWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if plan == nil {
-		return net.pickOutWave(j, p, lastHopWave)
-	}
-	w, ok := plan.out[[2]int{j, p}]
-	if !ok {
-		return 0, fmt.Errorf("multistage: internal error: no planned wavelength for link mid%d->%d", j, p)
-	}
-	if net.outLink[j][p][w] != freeLink {
-		return 0, fmt.Errorf("multistage: internal error: planned link mid%d->%d λ%d not free", j, p, w)
-	}
-	return w, nil
-}
-
-// commit materializes the chosen routing: it occupies link wavelengths
-// and installs the per-module sub-connections, rolling back on any
-// internal inconsistency. plan, when non-nil, dictates the link
-// wavelengths; otherwise the wavelength-assignment policy picks them.
-func (net *Network) commit(c wdm.Connection, srcMod int, srcLocal wdm.Port,
-	destsByMod map[int][]wdm.PortWave, assign map[int][]int, lastHopWave wdm.Wavelength, plan *wavePlan) (int, error) {
-
 	rc := &routed{
 		conn:     c,
 		srcMod:   srcMod,
 		inConnID: -1,
-		midConn:  make(map[int]int),
-		outConn:  make(map[int]int),
-		inWave:   make(map[int]wdm.Wavelength),
-		outWave:  make(map[[2]int]wdm.Wavelength),
+		legs:     make([]routeLeg, 0, popCount(sc.picked)),
+		hops:     make([]routeHop, 0, nHops),
 	}
 	id := net.nextID
 
-	rollback := func() {
-		if rc.inConnID >= 0 {
-			_ = net.inMods[srcMod].Release(rc.inConnID)
+	awg := net.params.Construction == AWGClos
+	for j := nextBit(sc.picked, 0); j >= 0; j = nextBit(sc.picked, j+1) {
+		row := net.serveRow(j)
+		need := anyWave
+		switch {
+		case net.params.Construction == MSWDominant:
+			need = c.Source.Wave
+		case awg:
+			// The grating pins the leg to the class wavelength of the
+			// one output module this middle serves.
+			need = net.awgWave(srcMod, nextBit(row, 0))
 		}
-		for j, cid := range rc.midConn {
-			_ = net.midMods[j].Release(cid)
+		w, ok := net.pickWave(net.inLink[srcMod][j], need)
+		if !ok {
+			net.unwind(rc)
+			return 0, fmt.Errorf("multistage: internal error: link %d->mid%d has no free wavelength (want λ%d)", srcMod, j, need)
 		}
-		for p, cid := range rc.outConn {
-			_ = net.outMods[p].Release(cid)
-		}
-		for j, w := range rc.inWave {
-			net.free(net.inLink[srcMod][j], w)
-		}
-		for jp, w := range rc.outWave {
-			net.free(net.outLink[jp[0]][jp[1]], w)
-		}
-	}
-
-	middles := make([]int, 0, len(assign))
-	for j := range assign {
-		middles = append(middles, j)
-	}
-	sort.Ints(middles)
-
-	// Pick and occupy wavelengths.
-	for _, j := range middles {
-		w, err := net.planInWave(plan, srcMod, j, c.Source.Wave)
-		if err != nil {
-			rollback()
-			return 0, err
-		}
-		rc.inWave[j] = w
-		net.claim(net.inLink[srcMod][j], w, id)
-		for _, p := range assign[j] {
-			ow, err := net.planOutWave(plan, j, p, lastHopWave)
-			if err != nil {
-				rollback()
-				return 0, err
+		net.claimIn(srcMod, j, w, id)
+		rc.legs = append(rc.legs, routeLeg{RouteLeg{Middle: j, Wave: w}, -1})
+		for p := nextBit(row, 0); p >= 0; p = nextBit(row, p+1) {
+			need := lastHopWave
+			if awg {
+				need = net.awgWave(srcMod, p)
 			}
-			rc.outWave[[2]int{j, p}] = ow
-			net.claim(net.outLink[j][p], ow, id)
+			ow, ok := net.pickWave(net.outLink[j][p], need)
+			if !ok {
+				net.unwind(rc)
+				return 0, fmt.Errorf("multistage: internal error: link mid%d->%d has no free wavelength (want λ%d)", j, p, need)
+			}
+			net.claimOut(j, p, ow, id)
+			rc.hops = append(rc.hops, routeHop{RouteHop{Middle: j, Out: p, Wave: ow}, -1})
 		}
 	}
-
-	// Input-module sub-connection: source slot -> one slot per chosen
-	// middle module.
-	inConn := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: c.Source.Wave}}
-	for _, j := range middles {
-		inConn.Dests = append(inConn.Dests, wdm.PortWave{Port: wdm.Port(j), Wave: rc.inWave[j]})
+	if err := net.install(rc, srcLocal, "multistage: internal error"); err != nil {
+		return 0, err
 	}
-	cid, err := net.inMods[srcMod].Add(inConn)
+	net.nextID++
+	net.register(id, rc)
+	return id, nil
+}
+
+// install adds the module sub-connections that carry a route whose
+// links are already claimed: one in the input module fanning out to
+// every leg's middle, one per middle fanning out to its hops' output
+// modules, and one per hop delivering that output module's local
+// destination slots (scratch.destsByMod). On failure it unwinds
+// everything rc holds, link claims included.
+func (net *Network) install(rc *routed, srcLocal wdm.Port, errPrefix string) error {
+	sc := &net.scratch
+	in := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}, Dests: sc.dests[:0]}
+	for _, l := range rc.legs {
+		in.Dests = append(in.Dests, wdm.PortWave{Port: wdm.Port(l.Middle), Wave: l.Wave})
+	}
+	cid, err := net.inMods[rc.srcMod].Add(in)
 	if err != nil {
-		rollback()
-		return 0, fmt.Errorf("multistage: internal error: input module %d rejected %v: %w", srcMod, inConn, err)
+		net.unwind(rc)
+		return fmt.Errorf("%s: input module %d rejected %v: %w", errPrefix, rc.srcMod, in, err)
 	}
 	rc.inConnID = cid
 
-	// Middle-module sub-connections.
-	for _, j := range middles {
-		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(srcMod), Wave: rc.inWave[j]}}
-		for _, p := range assign[j] {
-			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(p), Wave: rc.outWave[[2]int{j, p}]})
+	h := 0
+	for i := range rc.legs {
+		l := &rc.legs[i]
+		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(rc.srcMod), Wave: l.Wave}, Dests: sc.dests[:0]}
+		for ; h < len(rc.hops) && rc.hops[h].Middle == l.Middle; h++ {
+			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(rc.hops[h].Out), Wave: rc.hops[h].Wave})
 		}
-		cid, err := net.midMods[j].Add(mc)
+		cid, err := net.midMods[l.Middle].Add(mc)
 		if err != nil {
-			rollback()
-			return 0, fmt.Errorf("multistage: internal error: middle module %d rejected %v: %w", j, mc, err)
+			net.unwind(rc)
+			return fmt.Errorf("%s: middle module %d rejected %v: %w", errPrefix, l.Middle, mc, err)
 		}
-		rc.midConn[j] = cid
+		l.cid = cid
 	}
 
-	// Output-module sub-connections.
-	for _, j := range middles {
-		for _, p := range assign[j] {
-			oc := wdm.Connection{
-				Source: wdm.PortWave{Port: wdm.Port(j), Wave: rc.outWave[[2]int{j, p}]},
-				Dests:  destsByMod[p],
-			}
-			cid, err := net.outMods[p].Add(oc)
-			if err != nil {
-				rollback()
-				return 0, fmt.Errorf("multistage: internal error: output module %d rejected %v: %w", p, oc, err)
-			}
-			rc.outConn[p] = cid
+	for i := range rc.hops {
+		hp := &rc.hops[i]
+		oc := wdm.Connection{
+			Source: wdm.PortWave{Port: wdm.Port(hp.Middle), Wave: hp.Wave},
+			Dests:  sc.destsByMod[hp.Out],
+		}
+		cid, err := net.outMods[hp.Out].Add(oc)
+		if err != nil {
+			net.unwind(rc)
+			return fmt.Errorf("%s: output module %d rejected %v: %w", errPrefix, hp.Out, oc, err)
+		}
+		hp.cid = cid
+	}
+	return nil
+}
+
+// unwind releases everything a partly installed route holds — module
+// sub-connections and link claims — and resets its sub-connection ids.
+func (net *Network) unwind(rc *routed) {
+	if rc.inConnID >= 0 {
+		_ = net.inMods[rc.srcMod].Release(rc.inConnID)
+		rc.inConnID = -1
+	}
+	for i := range rc.legs {
+		if l := &rc.legs[i]; l.cid >= 0 {
+			_ = net.midMods[l.Middle].Release(l.cid)
+			l.cid = -1
 		}
 	}
+	for i := range rc.hops {
+		if hp := &rc.hops[i]; hp.cid >= 0 {
+			_ = net.outMods[hp.Out].Release(hp.cid)
+			hp.cid = -1
+		}
+	}
+	net.freeLinks(rc)
+}
 
-	net.nextID++
+// freeLinks releases every link wavelength the route claims.
+func (net *Network) freeLinks(rc *routed) {
+	for _, l := range rc.legs {
+		net.freeIn(rc.srcMod, l.Middle, l.Wave)
+	}
+	for _, hp := range rc.hops {
+		net.freeOut(hp.Middle, hp.Out, hp.Wave)
+	}
+}
+
+// register makes an installed route live under id.
+func (net *Network) register(id int, rc *routed) {
 	net.conns[id] = rc
-	net.srcBusy[c.Source] = id
-	for _, d := range c.Dests {
-		net.dstBusy[d] = id
+	net.srcBusy.Add(rc.conn.Source)
+	for _, d := range rc.conn.Dests {
+		net.dstBusy.Add(d)
 	}
-	return id, nil
+}
+
+// holder returns the id of the live connection using slot as its
+// source (src) or as a destination, or -1. Only error messages need it:
+// the busy sets say whether a slot is held, not by whom.
+func (net *Network) holder(slot wdm.PortWave, src bool) int {
+	for id, rc := range net.conns {
+		if src && rc.conn.Source == slot || !src && slices.Contains(rc.conn.Dests, slot) {
+			return id
+		}
+	}
+	return -1
 }
 
 // Release tears down a live connection and frees every module slot and
@@ -437,26 +366,21 @@ func (net *Network) Release(id int) error {
 	if err := net.inMods[rc.srcMod].Release(rc.inConnID); err != nil {
 		return fmt.Errorf("multistage: input module %d: %w", rc.srcMod, err)
 	}
-	for j, cid := range rc.midConn {
-		if err := net.midMods[j].Release(cid); err != nil {
-			return fmt.Errorf("multistage: middle module %d: %w", j, err)
+	for _, l := range rc.legs {
+		if err := net.midMods[l.Middle].Release(l.cid); err != nil {
+			return fmt.Errorf("multistage: middle module %d: %w", l.Middle, err)
 		}
 	}
-	for p, cid := range rc.outConn {
-		if err := net.outMods[p].Release(cid); err != nil {
-			return fmt.Errorf("multistage: output module %d: %w", p, err)
+	for _, hp := range rc.hops {
+		if err := net.outMods[hp.Out].Release(hp.cid); err != nil {
+			return fmt.Errorf("multistage: output module %d: %w", hp.Out, err)
 		}
 	}
-	for j, w := range rc.inWave {
-		net.free(net.inLink[rc.srcMod][j], w)
-	}
-	for jp, w := range rc.outWave {
-		net.free(net.outLink[jp[0]][jp[1]], w)
-	}
+	net.freeLinks(rc)
 	delete(net.conns, id)
-	delete(net.srcBusy, rc.conn.Source)
+	net.srcBusy.Remove(rc.conn.Source)
 	for _, d := range rc.conn.Dests {
-		delete(net.dstBusy, d)
+		net.dstBusy.Remove(d)
 	}
 	return nil
 }

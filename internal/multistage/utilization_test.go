@@ -43,8 +43,8 @@ func TestUtilizationZeroAfterChurn(t *testing.T) {
 			if u.InTotal == 0 || u.OutTotal == 0 {
 				t.Fatalf("utilization totals empty: %+v", u)
 			}
-			if len(net.srcBusy) != 0 || len(net.dstBusy) != 0 {
-				t.Fatalf("busy maps leaked: %d src, %d dst", len(net.srcBusy), len(net.dstBusy))
+			if net.srcBusy.Len() != 0 || net.dstBusy.Len() != 0 {
+				t.Fatalf("busy maps leaked: %d src, %d dst", net.srcBusy.Len(), net.dstBusy.Len())
 			}
 		})
 	}

@@ -61,7 +61,7 @@ func (net *Network) Verify() error {
 // verifyLinkage checks the stage-to-stage consistency of one connection.
 func (net *Network) verifyLinkage(id int, rc *routed) error {
 	// Input module sub-connection: source is the network source's local
-	// slot; destinations are (middle j, inWave[j]) pairs.
+	// slot; destinations are one (middle, wavelength) pair per leg.
 	inConn, ok := net.inMods[rc.srcMod].Connection(rc.inConnID)
 	if !ok {
 		return fmt.Errorf("multistage: connection %d: input module %d lost sub-connection", id, rc.srcMod)
@@ -71,32 +71,32 @@ func (net *Network) verifyLinkage(id int, rc *routed) error {
 		return fmt.Errorf("multistage: connection %d: input sub-connection source %v != network source %v",
 			id, inConn.Source, rc.conn.Source)
 	}
-	if len(inConn.Dests) != len(rc.inWave) {
+	if len(inConn.Dests) != len(rc.legs) {
 		return fmt.Errorf("multistage: connection %d: input module emits to %d middles, routing says %d",
-			id, len(inConn.Dests), len(rc.inWave))
+			id, len(inConn.Dests), len(rc.legs))
 	}
 	for _, d := range inConn.Dests {
-		w, ok := rc.inWave[int(d.Port)]
+		w, ok := rc.legWave(int(d.Port))
 		if !ok || w != d.Wave {
 			return fmt.Errorf("multistage: connection %d: input module emits %v, not in routing plan", id, d)
 		}
 	}
 
-	// Middle modules: source = (input module, inWave[j]); dests must match
-	// outWave entries.
-	for j, cid := range rc.midConn {
-		mc, ok := net.midMods[j].Connection(cid)
+	// Middle modules: source = (input module, leg wavelength); dests
+	// must match hops.
+	for _, l := range rc.legs {
+		mc, ok := net.midMods[l.Middle].Connection(l.cid)
 		if !ok {
-			return fmt.Errorf("multistage: connection %d: middle module %d lost sub-connection", id, j)
+			return fmt.Errorf("multistage: connection %d: middle module %d lost sub-connection", id, l.Middle)
 		}
-		if int(mc.Source.Port) != rc.srcMod || mc.Source.Wave != rc.inWave[j] {
+		if int(mc.Source.Port) != rc.srcMod || mc.Source.Wave != l.Wave {
 			return fmt.Errorf("multistage: connection %d: middle %d receives on %v, input stage sends on (p%d,λ%d)",
-				id, j, mc.Source, rc.srcMod, rc.inWave[j])
+				id, l.Middle, mc.Source, rc.srcMod, l.Wave)
 		}
 		for _, d := range mc.Dests {
-			w, ok := rc.outWave[[2]int{j, int(d.Port)}]
+			w, ok := rc.hopWave(l.Middle, int(d.Port))
 			if !ok || w != d.Wave {
-				return fmt.Errorf("multistage: connection %d: middle %d emits %v, not in routing plan", id, j, d)
+				return fmt.Errorf("multistage: connection %d: middle %d emits %v, not in routing plan", id, l.Middle, d)
 			}
 		}
 	}
@@ -104,13 +104,13 @@ func (net *Network) verifyLinkage(id int, rc *routed) error {
 	// Output modules: delivered local slots must reassemble exactly the
 	// network destination set.
 	delivered := make(map[wdm.PortWave]bool)
-	for p, cid := range rc.outConn {
-		oc, ok := net.outMods[p].Connection(cid)
+	for _, hp := range rc.hops {
+		p := hp.Out
+		oc, ok := net.outMods[p].Connection(hp.cid)
 		if !ok {
 			return fmt.Errorf("multistage: connection %d: output module %d lost sub-connection", id, p)
 		}
-		j := int(oc.Source.Port)
-		w, ok := rc.outWave[[2]int{j, p}]
+		w, ok := rc.hopWave(int(oc.Source.Port), p)
 		if !ok || w != oc.Source.Wave {
 			return fmt.Errorf("multistage: connection %d: output module %d receives on %v, not in routing plan",
 				id, p, oc.Source)
@@ -131,17 +131,40 @@ func (net *Network) verifyLinkage(id int, rc *routed) error {
 	return nil
 }
 
+// legWave returns the wavelength the route claims on the link to
+// middle j.
+func (rc *routed) legWave(j int) (wdm.Wavelength, bool) {
+	for _, l := range rc.legs {
+		if l.Middle == j {
+			return l.Wave, true
+		}
+	}
+	return 0, false
+}
+
+// hopWave returns the wavelength the route claims on the link j->p.
+func (rc *routed) hopWave(j, p int) (wdm.Wavelength, bool) {
+	for _, hp := range rc.hops {
+		if hp.Middle == j && hp.Out == p {
+			return hp.Wave, true
+		}
+	}
+	return 0, false
+}
+
 // verifyLinkTables cross-checks the link occupancy tables against the
-// per-connection routing records.
+// per-connection routing records, and the router's bitsets against the
+// tables: a link wavelength's busy bit is set exactly when the table
+// names an owner.
 func (net *Network) verifyLinkTables() error {
 	wantIn := make(map[[3]int]int)  // (a, j, w) -> conn id
 	wantOut := make(map[[3]int]int) // (j, p, w) -> conn id
 	for id, rc := range net.conns {
-		for j, w := range rc.inWave {
-			wantIn[[3]int{rc.srcMod, j, int(w)}] = id
+		for _, l := range rc.legs {
+			wantIn[[3]int{rc.srcMod, l.Middle, int(l.Wave)}] = id
 		}
-		for jp, w := range rc.outWave {
-			wantOut[[3]int{jp[0], jp[1], int(w)}] = id
+		for _, hp := range rc.hops {
+			wantOut[[3]int{hp.Middle, hp.Out, int(hp.Wave)}] = id
 		}
 	}
 	for a := range net.inLink {
@@ -153,6 +176,9 @@ func (net *Network) verifyLinkTables() error {
 				}
 				if !used && got != freeLink {
 					return fmt.Errorf("multistage: link in%d->mid%d λ%d leaked (holds %d)", a, j, w, got)
+				}
+				if bit := hasBit(net.inSet(a, w), j); bit != used {
+					return fmt.Errorf("multistage: link in%d->mid%d λ%d busy bit %v, table says %v", a, j, w, bit, used)
 				}
 			}
 		}
@@ -166,6 +192,9 @@ func (net *Network) verifyLinkTables() error {
 				}
 				if !used && got != freeLink {
 					return fmt.Errorf("multistage: link mid%d->out%d λ%d leaked (holds %d)", j, p, w, got)
+				}
+				if bit := hasBit(net.outSet(j, w), p); bit != used {
+					return fmt.Errorf("multistage: link mid%d->out%d λ%d busy bit %v, table says %v", j, p, w, bit, used)
 				}
 			}
 		}

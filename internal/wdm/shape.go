@@ -52,15 +52,22 @@ func (s Shape) CheckConnection(model Model, c Connection) error {
 	if len(c.Dests) == 0 {
 		return fmt.Errorf("wdm: connection from %v has no destinations", c.Source)
 	}
-	seenPort := make(map[Port]bool, len(c.Dests))
+	// Output ports seen so far, one bit per port; the array keeps
+	// switches of up to 512 output ports off the heap.
+	var small [8]uint64
+	seen := small[:]
+	if words := (s.Out + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
 	for _, dst := range c.Dests {
 		if !s.InRangeDest(dst) {
 			return fmt.Errorf("wdm: destination %v out of range for %dx%d k=%d switch", dst, s.In, s.Out, s.K)
 		}
-		if seenPort[dst.Port] {
+		word, bit := int(dst.Port)/64, uint64(1)<<(uint(dst.Port)%64)
+		if seen[word]&bit != 0 {
 			return fmt.Errorf("wdm: two destinations of one connection share output port %d", dst.Port)
 		}
-		seenPort[dst.Port] = true
+		seen[word] |= bit
 	}
 	switch model {
 	case MSW:
@@ -109,6 +116,47 @@ func (s Shape) CheckAssignment(model Model, a Assignment) error {
 	}
 	return nil
 }
+
+// SlotSet is the set of occupied wavelength slots on one side of a
+// switch: one bit per slot, indexed by PortWave.Index, so a lookup
+// neither hashes nor allocates and a switch side costs ports*k bits.
+type SlotSet struct {
+	k    int
+	bits []uint64
+	n    int
+}
+
+// NewSlotSet returns an empty set over ports x k slots.
+func NewSlotSet(ports, k int) SlotSet {
+	return SlotSet{k: k, bits: make([]uint64, (ports*k+63)/64)}
+}
+
+// Has reports whether pw is occupied.
+func (s *SlotSet) Has(pw PortWave) bool {
+	i := pw.Index(s.k)
+	return s.bits[i/64]&(1<<(uint(i)%64)) != 0
+}
+
+// Add marks pw occupied.
+func (s *SlotSet) Add(pw PortWave) {
+	if !s.Has(pw) {
+		i := pw.Index(s.k)
+		s.bits[i/64] |= 1 << (uint(i) % 64)
+		s.n++
+	}
+}
+
+// Remove marks pw free.
+func (s *SlotSet) Remove(pw PortWave) {
+	if s.Has(pw) {
+		i := pw.Index(s.k)
+		s.bits[i/64] &^= 1 << (uint(i) % 64)
+		s.n--
+	}
+}
+
+// Len returns the number of occupied slots.
+func (s *SlotSet) Len() int { return s.n }
 
 // Shape converts square dimensions to the equivalent Shape.
 func (d Dim) Shape() Shape { return Shape{In: d.N, Out: d.N, K: d.K} }
