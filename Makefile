@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short race bench bench-json bench-fabric cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
+.PHONY: all build vet staticcheck test test-short race bench bench-json bench-fabric bench-handler cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
 
 all: build vet race test
 
@@ -53,14 +53,36 @@ bench-fabric:
 	fi
 	BENCH_LABEL=after $(BENCH_FABRIC) .
 
+# In-process HTTP handler record: one connect + disconnect through
+# Controller.Handler() with the tracer at its defaults and disabled, on
+# both BENCHMARK.json shapes, one row per (label, GOMAXPROCS) in
+# BENCH_handler.json with ns/op, allocs/op, B/op, nproc and GOMAXPROCS.
+# The traced-untraced gap is the cost of observing a request.
+# BEFORE=<git rev> also measures that commit, as bench-fabric does.
+BENCH_HANDLER = BENCH_HANDLER_JSON=$(CURDIR)/BENCH_handler.json $(GO) test -run '^$$' -bench BenchmarkHandlerCycle -benchmem -benchtime 2s
+bench-handler:
+	@if [ -n "$(BEFORE)" ]; then \
+	    tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	    git archive $(BEFORE) | tar -x -C $$tmp && cp bench_test.go $$tmp/ && \
+	    (cd $$tmp && BENCH_LABEL=before $(BENCH_HANDLER) .) || exit 1; \
+	fi
+	BENCH_LABEL=after $(BENCH_HANDLER) .
+
 # Per-package statement coverage for the serving and observability
 # packages.
 cover:
 	$(GO) test -cover ./internal/switchd ./internal/obs
 
+# Native fuzzing, FUZZTIME per target (CI runs `make fuzz FUZZTIME=5s`).
+# -run '^$$' skips the unit tests; each -fuzz pattern names one target.
+FUZZTIME ?= 10s
+FUZZ = $(GO) test -run '^$$' -fuzztime=$(FUZZTIME)
 fuzz:
-	$(GO) test -fuzz=FuzzParseConnection -fuzztime=10s ./internal/wdm/
-	$(GO) test -fuzz=FuzzRoutePermutation -fuzztime=10s ./internal/benes/
+	$(FUZZ) -fuzz='^FuzzParseConnection$$' ./internal/wdm/
+	$(FUZZ) -fuzz='^FuzzRoutePermutation$$' ./internal/benes/
+	$(FUZZ) -fuzz='^FuzzDecodeConnectRequest$$' ./internal/switchd/
+	$(FUZZ) -fuzz='^FuzzDecodeBranchRequest$$' ./internal/switchd/
+	$(FUZZ) -fuzz='^FuzzDecodeDisconnectRequest$$' ./internal/switchd/
 
 # Live SLO/tracing demo: start a deliberately sub-bound server, drive
 # one traced blocked request, and print the trace / exemplar /

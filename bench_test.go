@@ -7,12 +7,19 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/analytic"
@@ -20,8 +27,11 @@ import (
 	"repro/internal/capacity"
 	"repro/internal/crossbar"
 	"repro/internal/multistage"
+	"repro/internal/obs/span"
 	"repro/internal/schedule"
 	"repro/internal/sim"
+	"repro/internal/switchd"
+	"repro/internal/switchd/api"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -312,7 +322,7 @@ func BenchmarkFabricChurn(b *testing.B) {
 				if label == "" {
 					label = "after"
 				}
-				writeFabricRow(b, path, map[string]any{
+				writeBenchRow(b, path, map[string]any{
 					"benchmark":     "BenchmarkFabricChurn/" + sh.name,
 					"label":         label,
 					"shape":         fmt.Sprintf("N=%d k=%d r=%d, fanout 1-%d, %d live", sh.n, sh.k, sh.r, sh.fanout, live),
@@ -329,6 +339,153 @@ func BenchmarkFabricChurn(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHandlerCycle measures one connect + disconnect through the
+// controller's HTTP handler in process (no socket, a reused request and
+// response writer), with the request tracer at its defaults ("traced")
+// and disabled ("untraced"): the gap between the two rows is the cost
+// of observing a request. The shapes are BenchmarkFabricChurn's at the
+// sufficient bound; multicast-fanout connects one 16-leaf session.
+//
+// With BENCH_HANDLER_JSON=<path> set, each sub-benchmark writes one row
+// per (BENCH_LABEL, GOMAXPROCS) into that file; see `make bench-handler`.
+func BenchmarkHandlerCycle(b *testing.B) {
+	fanout := make([]string, 16)
+	for i := range fanout {
+		fanout[i] = fmt.Sprintf("%d.0", i+1)
+	}
+	for _, sh := range []struct {
+		name    string
+		n, k, r int
+		conn    string
+	}{
+		{"unicast-cycle", 64, 2, 8, "0.0>1.0"},
+		{"multicast-fanout", 256, 4, 16, "0.0>" + strings.Join(fanout, ",")},
+	} {
+		for _, mode := range []string{"traced", "untraced"} {
+			b.Run(sh.name+"/"+mode, func(b *testing.B) {
+				cfg := switchd.Config{
+					Fabric: multistage.Params{
+						N: sh.n, K: sh.k, R: sh.r, Model: wdm.MSW, Construction: multistage.MSWDominant, Lite: true,
+					},
+					Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+				}
+				if mode == "untraced" {
+					cfg.Spans = span.Config{Capacity: -1}
+				}
+				ctl, err := switchd.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ctl.Close()
+				h := ctl.Handler()
+				// The bodies the repo's client sends: json.Marshal writes
+				// '>' as \u003e, and a disconnect as the appended form below.
+				connectBody, err := json.Marshal(api.ConnectRequest{Connection: sh.conn})
+				if err != nil {
+					b.Fatal(err)
+				}
+				connectReq := httptest.NewRequest(http.MethodPost, "/v1/connect", nil)
+				disconnectReq := httptest.NewRequest(http.MethodPost, "/v1/disconnect", nil)
+				var body benchBody
+				var w benchWriter
+				var disconnectBody []byte
+				serve := func(req *http.Request, data []byte) {
+					body.Reset(data)
+					req.Body = &body
+					w.reset()
+					h.ServeHTTP(&w, req)
+					if w.code != http.StatusOK {
+						b.Fatalf("%s: status %d: %s", req.URL.Path, w.code, w.buf)
+					}
+				}
+				cycle := func() {
+					serve(connectReq, connectBody)
+					id, ok := benchSessionID(w.buf)
+					if !ok {
+						b.Fatalf("connect response without a session: %s", w.buf)
+					}
+					disconnectBody = strconv.AppendUint(append(disconnectBody[:0], `{"session":`...), id, 10)
+					disconnectBody = append(disconnectBody, '}')
+					serve(disconnectReq, disconnectBody)
+				}
+				for i := 0; i < 100; i++ {
+					cycle()
+				}
+				var before, after runtime.MemStats
+				b.ReportAllocs()
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					cycle()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				if path := os.Getenv("BENCH_HANDLER_JSON"); path != "" {
+					label := os.Getenv("BENCH_LABEL")
+					if label == "" {
+						label = "after"
+					}
+					writeBenchRow(b, path, map[string]any{
+						"benchmark":     "BenchmarkHandlerCycle/" + sh.name + "/" + mode,
+						"label":         label,
+						"shape":         fmt.Sprintf("N=%d k=%d r=%d, connect %s + disconnect", sh.n, sh.k, sh.r, sh.conn),
+						"iterations":    b.N,
+						"ns_per_op":     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+						"allocs_per_op": float64(after.Mallocs-before.Mallocs) / float64(b.N),
+						"bytes_per_op":  float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N),
+						"nproc":         runtime.NumCPU(),
+						"gomaxprocs":    runtime.GOMAXPROCS(0),
+						"goos":          runtime.GOOS,
+						"goarch":        runtime.GOARCH,
+						"go":            runtime.Version(),
+					})
+				}
+			})
+		}
+	}
+}
+
+// benchBody is a reusable request body.
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }
+
+// benchWriter is a reusable in-memory http.ResponseWriter.
+type benchWriter struct {
+	h    http.Header
+	code int
+	buf  []byte
+}
+
+func (w *benchWriter) reset() {
+	if w.h == nil {
+		w.h = http.Header{}
+	}
+	clear(w.h)
+	w.code = http.StatusOK
+	w.buf = w.buf[:0]
+}
+
+func (w *benchWriter) Header() http.Header         { return w.h }
+func (w *benchWriter) WriteHeader(code int)        { w.code = code }
+func (w *benchWriter) Write(p []byte) (int, error) { w.buf = append(w.buf, p...); return len(p), nil }
+
+// benchSessionID reads the "session" number out of a connect response.
+func benchSessionID(resp []byte) (uint64, bool) {
+	const key = `"session": `
+	i := bytes.Index(resp, []byte(key))
+	if i < 0 {
+		return 0, false
+	}
+	rest := resp[i+len(key):]
+	n := 0
+	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+		n++
+	}
+	id, err := strconv.ParseUint(string(rest[:n]), 10, 64)
+	return id, err == nil
 }
 
 // churnScript returns steps requests for an N-port, k-wavelength MSW
@@ -376,9 +533,9 @@ func churnScript(n, k, maxFanout, live, steps int, seed int64) []wdm.Connection 
 	return script
 }
 
-// writeFabricRow merges row into the JSON array at path, replacing any
+// writeBenchRow merges row into the JSON array at path, replacing any
 // row with the same benchmark, label and gomaxprocs.
-func writeFabricRow(b *testing.B, path string, row map[string]any) {
+func writeBenchRow(b *testing.B, path string, row map[string]any) {
 	var rows []map[string]any
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &rows); err != nil {

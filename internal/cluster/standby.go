@@ -365,9 +365,9 @@ func (s *Standby) followOnce() error {
 			var sp *span.Span
 			if rec.TP != "" {
 				sp = s.tracer.Root("repl.apply", rec.TP)
-				sp.SetAttr("shard", s.cfg.Shard)
-				sp.SetAttr("seq", rec.Seq)
-				sp.SetAttr("op", rec.Op)
+				sp.SetInt("shard", int64(s.cfg.Shard))
+				sp.SetUint("seq", rec.Seq)
+				sp.SetString("op", rec.Op)
 			}
 			if err := s.applyRecord(&rec); err != nil {
 				sp.SetError(err.Error())
@@ -436,7 +436,7 @@ func (s *Standby) ackUpTo(bw *bufio.Writer, seq uint64, parent *span.Span) error
 	plane := s.plane
 	s.mu.Unlock()
 	fs := parent.StartChild("repl.fsync")
-	fs.SetAttr("seq", seq)
+	fs.SetUint("seq", seq)
 	err := plane.Sync()
 	if err != nil {
 		fs.SetError(err.Error())

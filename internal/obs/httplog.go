@@ -2,9 +2,9 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -34,6 +34,16 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)
 }
 
+// formatRequestID renders n as fmt's "req-%08d" does.
+func formatRequestID(n uint64) string {
+	var b [32]byte
+	id := append(b[:0], "req-"...)
+	for p := uint64(10_000_000); p > n && p > 1; p /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendUint(id, n, 10))
+}
+
 // statusWriter captures the status code a handler writes.
 type statusWriter struct {
 	http.ResponseWriter
@@ -54,7 +64,7 @@ func WithRequestLog(h http.Handler, logger *slog.Logger) http.Handler {
 		logger = slog.Default()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%08d", nextRequestID.Add(1))
+		id := formatRequestID(nextRequestID.Add(1))
 		ctx := WithRequestID(r.Context(), id)
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -86,5 +87,17 @@ func TestStatusDefault(t *testing.T) {
 	}
 	if line.Status != 200 {
 		t.Fatalf("implicit status logged as %d, want 200", line.Status)
+	}
+}
+
+func TestFormatRequestIDMatchesSprintf(t *testing.T) {
+	ns := []uint64{0, 1, 9, 10, 99, 100, 9999999, 10000000, 12345678, 99999999, 100000000, 1<<64 - 1}
+	for p := uint64(1); p < 1e19; p *= 10 {
+		ns = append(ns, p-1, p, p+1)
+	}
+	for _, n := range ns {
+		if got, want := formatRequestID(n), fmt.Sprintf("req-%08d", n); got != want {
+			t.Fatalf("formatRequestID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

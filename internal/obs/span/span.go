@@ -17,7 +17,9 @@
 // Sampling is tail-based: the keep/drop decision is taken when the root
 // span ends, so a trace that turned out to be blocked, errored, or slow
 // is always kept (those are exactly the traces worth a post-mortem) and
-// only routine fast successes are down-sampled.
+// only routine fast successes are down-sampled. Until then a trace holds
+// raw ids and typed attribute values; only a kept trace is formatted
+// into a TraceRecord.
 package span
 
 import (
@@ -27,6 +29,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"time"
+
+	"repro/internal/wdm"
 )
 
 // TraceID is the 16-byte W3C trace id.
@@ -75,7 +79,14 @@ const FlagSampled byte = 0x01
 // FormatTraceparent renders a W3C traceparent header value
 // (version 00): "00-<trace-id>-<parent-id>-<flags>".
 func FormatTraceparent(t TraceID, s SpanID, flags byte) string {
-	return fmt.Sprintf("00-%s-%s-%02x", t, s, flags)
+	var b [55]byte
+	copy(b[:3], "00-")
+	hex.Encode(b[3:35], t[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], s[:])
+	b[52] = '-'
+	hex.Encode(b[53:], []byte{flags})
+	return string(b[:])
 }
 
 // ParseTraceparent parses a version-00 W3C traceparent header value. It
@@ -123,7 +134,7 @@ const (
 	StatusBlocked = "blocked"
 )
 
-// Attr is one structured span attribute.
+// Attr is one structured span attribute of a kept trace.
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`
@@ -157,40 +168,122 @@ type TraceRecord struct {
 	Spans   []SpanRecord `json:"spans"`
 }
 
+// status is a span's outcome; statusNames maps it to its wire string.
+type status uint8
+
+const (
+	statusOK status = iota
+	statusError
+	statusBlocked
+)
+
+var statusNames = [...]string{statusOK: StatusOK, statusError: StatusError, statusBlocked: StatusBlocked}
+
+// attrKind tags the typed value an attr holds.
+type attrKind uint8
+
+const (
+	attrInt    attrKind = iota // num holds an int64
+	attrUint                   // num holds a uint64
+	attrString                 // str
+	attrInts                   // ints[off:off+n] of the trace
+	attrConn                   // (port, wave) pairs in ints from off: the source, then n dests
+)
+
+// attr is one attribute as a live span records it: a typed value,
+// neither boxed nor formatted. A trace keeps the attributes of all its
+// spans in one slice; owner says whose each is. Slice values are copied
+// into the trace's int arena, so callers may reuse their buffers.
+type attr struct {
+	owner  *Span
+	key    string
+	kind   attrKind
+	off, n int32
+	num    uint64
+	str    string
+}
+
+// Inline capacities of a trace record: a routine serving request fits
+// in them, so tracing it costs one allocation for the whole tree. A
+// larger trace spills to the heap and stays correct.
+const (
+	inlineSpans = 6
+	inlineAttrs = 16
+	inlineInts  = 16
+)
+
 // traceRec accumulates a trace in flight. Spans of one request usually
 // finish on one goroutine, but the mutex makes cross-goroutine fan-out
-// safe too.
+// safe too. Nothing is formatted while the trace is live: ids stay
+// bytes and attributes stay typed until the tail-sampling verdict at
+// the root's End says the trace is kept (see Tracer.finish).
 type traceRec struct {
 	tracer  *Tracer
 	traceID TraceID
 	mu      sync.Mutex
-	rec     TraceRecord
+	tid     string // hex trace id, built on first TraceID call
+
+	// method and path name an HTTP root span ("http <method> <path>");
+	// the name is only built when the trace is kept.
+	method, path string
+
+	blocked, errored, finished bool
+
+	root  Span
+	spans [inlineSpans]Span // child spans handed out in order
+	nspan int
+	done  []*Span // ended spans, in End order
+	attrs []attr
+	ints  []int
+
+	doneBuf [inlineSpans + 1]*Span
+	attrBuf [inlineAttrs]attr
+	intBuf  [inlineInts]int
+
+	sw statusWriter // the HTTP middleware's status capture
+}
+
+func newTraceRec(t *Tracer) *traceRec {
+	r := &traceRec{tracer: t}
+	r.done = r.doneBuf[:0]
+	r.attrs = r.attrBuf[:0]
+	r.ints = r.intBuf[:0]
+	return r
 }
 
 // Span is one live span. The zero/nil Span is inactive: every method is
-// a cheap no-op, so call sites never branch on "is tracing on".
+// a cheap no-op, so call sites never branch on "is tracing on". A span
+// is frozen by End: attributes and status set afterwards are ignored.
 type Span struct {
 	rec    *traceRec
 	name   string
 	id     SpanID
 	parent SpanID
 	start  time.Time
-	status string
-	detail string
-	attrs  []Attr
+	dur    time.Duration
+	status status
 	root   bool
 	ended  bool
+	done   int32 // position in the trace's End order, once ended
+	detail string
 }
 
 // Active reports whether the span records anything.
 func (s *Span) Active() bool { return s != nil && s.rec != nil }
 
-// TraceID returns the hex trace id, or "" for an inactive span.
+// TraceID returns the hex trace id, or "" for an inactive span. The
+// string is built once per trace.
 func (s *Span) TraceID() string {
 	if !s.Active() {
 		return ""
 	}
-	return s.rec.traceID.String()
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tid == "" {
+		r.tid = r.traceID.String()
+	}
+	return r.tid
 }
 
 // Traceparent renders the span's W3C traceparent value (the span as
@@ -202,30 +295,68 @@ func (s *Span) Traceparent() string {
 	return FormatTraceparent(s.rec.traceID, s.id, FlagSampled)
 }
 
-// SetAttr attaches one structured attribute.
-func (s *Span) SetAttr(key string, value any) {
+// setAttr appends a to the trace unless s is inactive or ended, with
+// ints and then the (port, wave) pairs of dests copied into the trace's
+// int arena from a.off on.
+func (s *Span) setAttr(a attr, ints []int, dests []wdm.PortWave) {
 	if !s.Active() {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.ended {
+		return
+	}
+	a.owner = s
+	a.off = int32(len(r.ints))
+	r.ints = append(r.ints, ints...)
+	for _, d := range dests {
+		r.ints = append(r.ints, int(d.Port), int(d.Wave))
+	}
+	r.attrs = append(r.attrs, a)
+}
+
+// SetInt attaches an integer attribute.
+func (s *Span) SetInt(key string, v int64) {
+	s.setAttr(attr{key: key, kind: attrInt, num: uint64(v)}, nil, nil)
+}
+
+// SetUint attaches an unsigned integer attribute.
+func (s *Span) SetUint(key string, v uint64) {
+	s.setAttr(attr{key: key, kind: attrUint, num: v}, nil, nil)
+}
+
+// SetString attaches a string attribute.
+func (s *Span) SetString(key string, v string) {
+	s.setAttr(attr{key: key, kind: attrString, str: v}, nil, nil)
+}
+
+// SetInts attaches an integer-list attribute. v is copied.
+func (s *Span) SetInts(key string, v []int) {
+	s.setAttr(attr{key: key, kind: attrInts, n: int32(len(v))}, v, nil)
+}
+
+// SetConnection attaches a connection attribute, recorded in wdm codec
+// form ("0.0>5.0,9.0") if the trace is kept. c is copied, and only
+// formatted for a kept trace.
+func (s *Span) SetConnection(key string, c wdm.Connection) {
+	src := []int{int(c.Source.Port), int(c.Source.Wave)}
+	s.setAttr(attr{key: key, kind: attrConn, n: int32(len(c.Dests))}, src, c.Dests)
 }
 
 // SetError marks the span errored with the given detail.
-func (s *Span) SetError(detail string) {
-	if !s.Active() {
-		return
-	}
-	s.status = StatusError
-	s.detail = detail
-}
+func (s *Span) SetError(detail string) { s.setStatus(statusError, detail) }
 
 // SetBlocked marks the span blocked — the status tail sampling always
 // keeps — with the given detail.
-func (s *Span) SetBlocked(detail string) {
-	if !s.Active() {
+func (s *Span) SetBlocked(detail string) { s.setStatus(statusBlocked, detail) }
+
+func (s *Span) setStatus(st status, detail string) {
+	if !s.Active() || s.ended {
 		return
 	}
-	s.status = StatusBlocked
+	s.status = st
 	s.detail = detail
 }
 
@@ -235,53 +366,117 @@ func (s *Span) StartChild(name string) *Span {
 	if !s.Active() {
 		return nil
 	}
-	return &Span{
-		rec:    s.rec,
-		name:   name,
-		id:     NewSpanID(),
-		parent: s.id,
-		start:  time.Now(),
-		status: StatusOK,
+	r := s.rec
+	var c *Span
+	r.mu.Lock()
+	if r.nspan < len(r.spans) {
+		c = &r.spans[r.nspan]
+		r.nspan++
 	}
+	r.mu.Unlock()
+	if c == nil {
+		c = new(Span)
+	}
+	*c = Span{rec: r, name: name, id: NewSpanID(), parent: s.id, start: time.Now()}
+	return c
 }
 
-// End finishes the span, appending its record to the trace. Ending the
-// root span completes the trace: the tracer takes its tail-sampling
-// decision and, if kept, the trace enters the ring buffer and span log.
-// End is idempotent.
+// End finishes the span, recording its duration. Ending the root span
+// completes the trace: the tracer takes its tail-sampling decision and,
+// if kept, formats the trace into the ring buffer and span log. End is
+// idempotent; a span ended after its root is dropped.
 func (s *Span) End() {
 	if !s.Active() || s.ended {
 		return
 	}
-	s.ended = true
-	sr := SpanRecord{
-		SpanID:     s.id.String(),
-		Name:       s.name,
-		Start:      s.start,
-		DurationNs: time.Since(s.start).Nanoseconds(),
-		Status:     s.status,
-		Detail:     s.detail,
-		Attrs:      s.attrs,
-	}
-	if !s.parent.IsZero() {
-		sr.Parent = s.parent.String()
-	}
+	dur := time.Since(s.start)
 	r := s.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.rec.Spans = append(r.rec.Spans, sr)
+	if r.finished {
+		return
+	}
+	s.ended = true
+	s.dur = dur
+	s.done = int32(len(r.done))
+	r.done = append(r.done, s)
 	switch s.status {
-	case StatusBlocked:
-		r.rec.Blocked = true
-	case StatusError:
-		r.rec.Error = true
+	case statusBlocked:
+		r.blocked = true
+	case statusError:
+		r.errored = true
 	}
 	if s.root {
-		r.rec.Root = s.name
-		r.rec.Start = s.start
-		r.rec.DurationNs = sr.DurationNs
-		r.tracer.finish(&r.rec)
+		r.finished = true
+		r.tracer.finish(r)
 	}
+}
+
+// record formats the finished trace. The caller holds r.mu.
+func (r *traceRec) record() TraceRecord {
+	if r.tid == "" {
+		r.tid = r.traceID.String()
+	}
+	rootName := r.root.name
+	if r.method != "" {
+		rootName = "http " + r.method + " " + r.path
+	}
+	tr := TraceRecord{
+		TraceID:    r.tid,
+		Root:       rootName,
+		Start:      r.root.start,
+		DurationNs: r.root.dur.Nanoseconds(),
+		Blocked:    r.blocked,
+		Error:      r.errored,
+		Spans:      make([]SpanRecord, len(r.done)),
+	}
+	slot := func(j int32) wdm.PortWave {
+		return wdm.PortWave{Port: wdm.Port(r.ints[j]), Wave: wdm.Wavelength(r.ints[j+1])}
+	}
+	for i, s := range r.done {
+		sr := SpanRecord{
+			SpanID:     s.id.String(),
+			Name:       s.name,
+			Start:      s.start,
+			DurationNs: s.dur.Nanoseconds(),
+			Status:     statusNames[s.status],
+			Detail:     s.detail,
+		}
+		if s.root {
+			sr.Name = rootName
+		}
+		if !s.parent.IsZero() {
+			sr.Parent = s.parent.String()
+		}
+		tr.Spans[i] = sr
+	}
+	// One pass hands each attribute to its span's record; attributes of
+	// a span that never ended are not kept.
+	for _, a := range r.attrs {
+		if !a.owner.ended {
+			continue
+		}
+		var v any
+		switch a.kind {
+		case attrInt:
+			v = int64(a.num)
+		case attrUint:
+			v = a.num
+		case attrString:
+			v = a.str
+		case attrInts:
+			v = append([]int(nil), r.ints[a.off:a.off+a.n]...)
+		case attrConn:
+			c := wdm.Connection{Source: slot(a.off), Dests: make([]wdm.PortWave, a.n)}
+			for j := range c.Dests {
+				c.Dests[j] = slot(a.off + 2 + 2*int32(j))
+			}
+			v = wdm.FormatConnection(c)
+		}
+		sr := &tr.Spans[a.owner.done]
+		sr.Attrs = append(sr.Attrs, Attr{Key: a.key, Value: v})
+	}
+	return tr
 }
 
 type ctxKey int

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wdm"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -45,7 +49,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 
 func TestInactiveSpanIsSafe(t *testing.T) {
 	var s *Span
-	s.SetAttr("k", 1)
+	s.SetInt("k", 1)
 	s.SetError("boom")
 	s.SetBlocked("blocked")
 	s.End()
@@ -77,11 +81,11 @@ func TestNestedSpansAccumulate(t *testing.T) {
 	ctx := ContextWith(context.Background(), root)
 
 	ctx2, op := Start(ctx, "switchd.connect")
-	op.SetAttr("connection", "0.0>5.0")
+	op.SetString("connection", "0.0>5.0")
 	_, fab := Start(ctx2, "fabric.add")
-	fab.SetAttr("fabric", 0)
+	fab.SetInt("fabric", 0)
 	mid := fab.StartChild("route.middle")
-	mid.SetAttr("middle", 3)
+	mid.SetInt("middle", 3)
 	mid.End()
 	fab.End()
 	op.End()
@@ -248,5 +252,222 @@ func TestMiddleware(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
 	if got := disabled.Middleware(inner); got == nil {
 		t.Fatal("nil tracer middleware returned nil handler")
+	}
+}
+
+func TestFormatTraceparentMatchesSprintf(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		tid, sid := NewTraceID(), NewSpanID()
+		flags := byte(i)
+		want := fmt.Sprintf("00-%s-%s-%02x", tid, sid, flags)
+		if got := FormatTraceparent(tid, sid, flags); got != want {
+			t.Fatalf("FormatTraceparent = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestTypedAttrs pins how each typed attribute lands in a kept record:
+// its JSON value, and that slices and connections are copied at Set
+// time, so a caller reusing its buffer cannot rewrite a kept trace.
+func TestTypedAttrs(t *testing.T) {
+	tr := NewTracer(Config{SampleEvery: 1})
+	root := tr.Root("r", "")
+	ints := []int{3, 1, 2}
+	conn := wdm.Connection{Source: wdm.PortWave{Port: 0, Wave: 1},
+		Dests: []wdm.PortWave{{Port: 5, Wave: 1}, {Port: 12, Wave: 1}}}
+	root.SetInt("int", -7)
+	root.SetUint("uint", 1<<63)
+	root.SetString("str", "a>b")
+	root.SetInts("ints", ints)
+	root.SetConnection("conn", conn)
+	root.SetConnection("unicast", wdm.Connection{Source: wdm.PortWave{Port: 2}, Dests: []wdm.PortWave{{Port: 3}}})
+	ints[0] = 99
+	conn.Dests[0].Port = 99
+	root.End()
+
+	got, err := json.Marshal(tr.Snapshot()[0].Spans[0].Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"key":"int","value":-7},{"key":"uint","value":9223372036854775808},` +
+		`{"key":"str","value":"a\u003eb"},{"key":"ints","value":[3,1,2]},` +
+		`{"key":"conn","value":"0.1\u003e5.1,12.1"},{"key":"unicast","value":"2.0\u003e3.0"}]`
+	if string(got) != want {
+		t.Fatalf("attrs = %s\nwant    %s", got, want)
+	}
+}
+
+// TestSetAfterEndIgnored: a span is frozen by End — attributes and
+// status set afterwards change neither its kept record nor the trace's
+// blocked/error summary, and a span ended after its root is dropped.
+func TestSetAfterEndIgnored(t *testing.T) {
+	tr := NewTracer(Config{SampleEvery: 1})
+	root := tr.Root("r", "")
+	child := root.StartChild("c")
+	child.SetInt("before", 1)
+	child.End()
+	child.SetInt("after", 2)
+	child.SetInts("after_ints", []int{1})
+	child.SetConnection("after_conn", wdm.Connection{Dests: []wdm.PortWave{{}}})
+	child.SetBlocked("too late")
+	child.SetError("too late")
+	late := root.StartChild("late")
+	root.End()
+	root.SetString("after", "x")
+	root.SetError("too late")
+	late.SetInt("k", 1)
+	late.End()
+
+	traces := tr.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("snapshot holds %d traces, want 1", len(traces))
+	}
+	got := traces[0]
+	if got.Blocked || got.Error {
+		t.Fatalf("trace summary changed after End: blocked=%v error=%v", got.Blocked, got.Error)
+	}
+	if len(got.Spans) != 2 {
+		t.Fatalf("trace has %d spans, want 2 (the late child is dropped): %+v", len(got.Spans), got.Spans)
+	}
+	c, r := got.Spans[0], got.Spans[1]
+	if c.Status != StatusOK || c.Detail != "" || len(c.Attrs) != 1 || c.Attrs[0].Key != "before" {
+		t.Fatalf("child record changed after End: %+v", c)
+	}
+	if r.Status != StatusOK || len(r.Attrs) != 0 {
+		t.Fatalf("root record changed after End: %+v", r)
+	}
+}
+
+// TestSpillBeyondInlineBuffers: a trace larger than the record's inline
+// span, attribute and int capacities keeps every span and value.
+func TestSpillBeyondInlineBuffers(t *testing.T) {
+	tr := NewTracer(Config{SampleEvery: 1})
+	root := tr.Root("r", "")
+	const n = 3 * inlineSpans
+	for i := 0; i < n; i++ {
+		c := root.StartChild("c")
+		for j := 0; j < 3; j++ {
+			c.SetInt("k", int64(i*10+j))
+		}
+		c.SetInts("ints", []int{i, i, i, i, i, i, i, i})
+		c.End()
+	}
+	root.End()
+	spans := tr.Snapshot()[0].Spans
+	if len(spans) != n+1 {
+		t.Fatalf("trace has %d spans, want %d", len(spans), n+1)
+	}
+	for i, s := range spans[:n] {
+		if len(s.Attrs) != 4 || s.Attrs[2].Value != int64(i*10+2) {
+			t.Fatalf("span %d attrs = %+v", i, s.Attrs)
+		}
+		if ints := s.Attrs[3].Value.([]int); len(ints) != 8 || ints[7] != i {
+			t.Fatalf("span %d ints = %v", i, ints)
+		}
+	}
+}
+
+// keptLargeTrace builds a kept trace of n children with three
+// attributes each, set while every child is still open so each span's
+// attributes are spread across the trace, and returns the time the
+// root's End — which formats the kept record — took.
+func keptLargeTrace(t *testing.T, n int) (TraceRecord, time.Duration) {
+	t.Helper()
+	tr := NewTracer(Config{SampleEvery: 1})
+	root := tr.Root("r", "")
+	children := make([]*Span, n)
+	for i := range children {
+		children[i] = root.StartChild("c")
+	}
+	for j := 0; j < 3; j++ {
+		for i, c := range children {
+			c.SetInt("k", int64(i*10+j))
+		}
+	}
+	for i := n - 1; i >= 0; i-- { // end in reverse of creation order
+		children[i].End()
+	}
+	start := time.Now()
+	root.End()
+	return tr.Snapshot()[0], time.Since(start)
+}
+
+// TestLargeKeptTraceRecord: a kept trace of hundreds of spans — what a
+// middle failure that drops sessions records — hands every attribute to
+// its own span, and formatting it is linear in its size (ten times the
+// spans may not cost more than 30 times the time; the quadratic
+// per-span attribute scan it replaced cost about 100 times).
+func TestLargeKeptTraceRecord(t *testing.T) {
+	const n = 300
+	rec, _ := keptLargeTrace(t, n)
+	if len(rec.Spans) != n+1 {
+		t.Fatalf("trace has %d spans, want %d", len(rec.Spans), n+1)
+	}
+	for k, s := range rec.Spans[:n] {
+		i := n - 1 - k
+		if len(s.Attrs) != 3 {
+			t.Fatalf("span %d attrs = %+v", i, s.Attrs)
+		}
+		for j, a := range s.Attrs {
+			if a.Value != int64(i*10+j) {
+				t.Fatalf("span %d attr %d = %v, want %d", i, j, a.Value, i*10+j)
+			}
+		}
+	}
+	if testing.Short() || raceEnabled {
+		return
+	}
+	fastest := func(n int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 5; i++ {
+			if _, d := keptLargeTrace(t, n); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := fastest(n), fastest(10*n)
+	if large > 30*small {
+		t.Fatalf("formatting %d spans took %v, %d spans %v: not linear", 10*n, large, n, small)
+	}
+}
+
+// TestDroppedTraceAllocs is the allocation guard for the common case: a
+// routine request's span tree — root, three nested spans and a dozen
+// typed attributes, connection included — that tail sampling drops.
+// Nothing is formatted; the tree costs one allocation.
+func TestDroppedTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	tr := NewTracer(Config{SampleEvery: 1 << 30, SlowThreshold: time.Hour})
+	conn := wdm.Connection{Source: wdm.PortWave{Port: 0}, Dests: []wdm.PortWave{{Port: 5}, {Port: 9}}}
+	serves := []int{1, 2}
+	allocs := testing.AllocsPerRun(200, func() {
+		root := tr.Root("http POST /v1/connect", "")
+		root.SetString("method", "POST")
+		root.SetString("path", "/v1/connect")
+		op := root.StartChild("switchd.connect")
+		op.SetConnection("connection", conn)
+		op.SetUint("session", 7)
+		op.SetInt("fabric", 0)
+		fab := op.StartChild("fabric.add")
+		fab.SetInt("fabric", 0)
+		mid := fab.StartChild("route.middle")
+		mid.SetInt("middle", 3)
+		mid.SetString("state", "selected")
+		mid.SetInts("serves", serves)
+		mid.End()
+		fab.End()
+		op.SetInt("phase_route_search_us", 12)
+		op.End()
+		root.SetInt("status", 200)
+		root.End()
+	})
+	if allocs > 1 {
+		t.Fatalf("a dropped span tree allocates %.0f objects, want <= 1", allocs)
+	}
+	if kept, _ := tr.Stats(); kept != 0 {
+		t.Fatalf("kept %d traces, want all dropped", kept)
 	}
 }

@@ -105,33 +105,27 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	if t == nil {
 		return nil
 	}
-	rec := &traceRec{tracer: t}
-	s := &Span{
-		rec:    rec,
-		name:   name,
-		id:     NewSpanID(),
-		start:  time.Now(),
-		status: StatusOK,
-		root:   true,
-	}
+	r := newTraceRec(t)
+	s := &r.root
+	*s = Span{rec: r, name: name, id: NewSpanID(), start: time.Now(), root: true}
 	if traceparent != "" {
 		if tid, parent, _, err := ParseTraceparent(traceparent); err == nil {
-			rec.traceID = tid
+			r.traceID = tid
 			s.parent = parent
 		}
 	}
-	if rec.traceID.IsZero() {
-		rec.traceID = NewTraceID()
+	if r.traceID.IsZero() {
+		r.traceID = NewTraceID()
 	}
-	rec.rec.TraceID = rec.traceID.String()
 	return s
 }
 
-// finish applies the tail-sampling policy to a completed trace.
-// Blocked, errored, and slow traces are always kept; routine successes
-// 1 in SampleEvery.
-func (t *Tracer) finish(r *TraceRecord) {
-	keep := r.Blocked || r.Error || r.DurationNs >= t.cfg.SlowThreshold.Nanoseconds()
+// finish applies the tail-sampling policy to a completed trace whose
+// root just ended (the caller holds r.mu). Blocked, errored, and slow
+// traces are always kept; routine successes 1 in SampleEvery. Only a
+// kept trace is formatted into a TraceRecord.
+func (t *Tracer) finish(r *traceRec) {
+	keep := r.blocked || r.errored || r.root.dur >= t.cfg.SlowThreshold
 	if !keep {
 		keep = t.seq.Add(1)%uint64(t.cfg.SampleEvery) == 0
 	}
@@ -140,13 +134,14 @@ func (t *Tracer) finish(r *TraceRecord) {
 		return
 	}
 	t.kept.Add(1)
-	if r.Blocked {
-		cp := *r
+	rec := r.record()
+	if rec.Blocked {
+		cp := rec
 		t.lastBlocked.Store(&cp)
 	}
-	t.shards[t.next.Add(1)%tracerShards].push(*r)
+	t.shards[t.next.Add(1)%tracerShards].push(rec)
 	if t.cfg.Log != nil {
-		line, err := json.Marshal(r)
+		line, err := json.Marshal(rec)
 		if err == nil {
 			t.logMu.Lock()
 			_, _ = t.cfg.Log.Write(append(line, '\n'))
@@ -218,19 +213,31 @@ func (t *Tracer) Middleware(h http.Handler) http.Handler {
 				return
 			}
 		}
-		root := t.Root("http "+r.Method+" "+r.URL.Path, r.Header.Get(TraceparentHeader))
-		root.SetAttr("method", r.Method)
-		root.SetAttr("path", r.URL.Path)
-		w.Header().Set(TraceparentHeader, root.Traceparent())
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h.ServeHTTP(sw, r.WithContext(ContextWith(r.Context(), root)))
-		root.SetAttr("status", sw.status)
-		if sw.status >= 500 {
-			root.SetError(http.StatusText(sw.status))
+		var traceparent string
+		if v := r.Header[traceparentKey]; len(v) > 0 { // Header.Get would canonicalize per request
+			traceparent = v[0]
+		}
+		root := t.Root("", traceparent) // named "http <method> <path>" if kept
+		rec := root.rec
+		rec.method, rec.path = r.Method, r.URL.Path
+		root.SetString("method", r.Method)
+		root.SetString("path", r.URL.Path)
+		w.Header()[traceparentKey] = []string{root.Traceparent()}
+		rec.sw = statusWriter{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(&rec.sw, r.WithContext(ContextWith(r.Context(), root)))
+		root.SetInt("status", int64(rec.sw.status))
+		if rec.sw.status >= 500 {
+			root.SetError(http.StatusText(rec.sw.status))
 		}
 		root.End()
 	})
 }
+
+// traceparentKey is TraceparentHeader in canonical MIME form: the
+// middleware indexes headers with it directly, since Header.Get and
+// Header.Set would canonicalize "traceparent" into a fresh string on
+// every request.
+var traceparentKey = http.CanonicalHeaderKey(TraceparentHeader)
 
 // statusWriter captures the status code a handler writes.
 type statusWriter struct {

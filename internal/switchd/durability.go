@@ -88,9 +88,9 @@ func (ctl *Controller) openDurable() error {
 		wal.Close()
 		return err
 	}
-	sp.SetAttr("sessions", len(rec.Sessions))
-	sp.SetAttr("records", rec.Records)
-	sp.SetAttr("last_seq", rec.LastSeq)
+	sp.SetInt("sessions", int64(len(rec.Sessions)))
+	sp.SetInt("records", int64(rec.Records))
+	sp.SetUint("last_seq", rec.LastSeq)
 
 	interval := cfg.SnapshotInterval
 	if interval == 0 {
@@ -188,13 +188,13 @@ func (ctl *Controller) walAppend(sp *span.Span, pt *phaseTimer, rec *durable.Rec
 	pt.add(phaseWALAppend, total-commitD)
 	if sp.Active() {
 		ws := sp.StartChild("wal.append")
-		ws.SetAttr("op", rec.Op)
+		ws.SetString("op", rec.Op)
 		if seq > 0 {
-			ws.SetAttr("seq", seq)
+			ws.SetUint("seq", seq)
 		}
-		ws.SetAttr("fsync_us", fsyncD.Microseconds())
+		ws.SetInt("fsync_us", fsyncD.Microseconds())
 		if commitD > 0 {
-			ws.SetAttr("repl_ack_us", commitD.Microseconds())
+			ws.SetInt("repl_ack_us", commitD.Microseconds())
 		}
 		if err != nil {
 			ws.SetError(err.Error())
@@ -368,8 +368,8 @@ func (ctl *Controller) WriteSnapshot() error {
 	sp := ctl.tracer.Root("wal.snapshot", "")
 	defer sp.End()
 	snap := ctl.SnapshotState()
-	sp.SetAttr("sessions", len(snap.Sessions))
-	sp.SetAttr("last_seq", snap.LastSeq)
+	sp.SetInt("sessions", int64(len(snap.Sessions)))
+	sp.SetUint("last_seq", snap.LastSeq)
 	err := ctl.wal.WriteSnapshot(snap)
 	if err != nil {
 		sp.SetError(err.Error())

@@ -36,8 +36,8 @@ import (
 func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.FailReport, error) {
 	_, sp := span.Start(ctx, "switchd.fail_middle")
 	defer sp.End()
-	sp.SetAttr("fabric", plane)
-	sp.SetAttr("middle", middle)
+	sp.SetInt("fabric", int64(plane))
+	sp.SetInt("middle", int64(middle))
 
 	if plane < 0 || plane >= len(ctl.fabrics) {
 		err := &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("fabric %d out of range (have %d)", plane, len(ctl.fabrics))}
@@ -119,9 +119,9 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 				s.Migrations++
 				rep.Migrated = append(rep.Migrated, id)
 				msp := sp.StartChild("session.migrate")
-				msp.SetAttr("session", id)
-				msp.SetAttr("from", mig.From)
-				msp.SetAttr("to", mig.To)
+				msp.SetUint("session", id)
+				msp.SetInts("from", mig.From)
+				msp.SetInts("to", mig.To)
 				msp.End()
 				continue
 			}
@@ -132,7 +132,7 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 				ctl.metrics.perFabric[plane].active.Add(-1)
 				rep.Dropped = append(rep.Dropped, id)
 				dsp := sp.StartChild("session.drop")
-				dsp.SetAttr("session", id)
+				dsp.SetUint("session", id)
 				dsp.SetError("no spare middle capacity")
 				dsp.End()
 			}
@@ -162,8 +162,8 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 func (ctl *Controller) RepairMiddle(ctx context.Context, plane, middle int) (api.RepairReport, error) {
 	_, sp := span.Start(ctx, "switchd.repair_middle")
 	defer sp.End()
-	sp.SetAttr("fabric", plane)
-	sp.SetAttr("middle", middle)
+	sp.SetInt("fabric", int64(plane))
+	sp.SetInt("middle", int64(middle))
 
 	if plane < 0 || plane >= len(ctl.fabrics) {
 		err := &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("fabric %d out of range (have %d)", plane, len(ctl.fabrics))}

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
@@ -87,20 +86,6 @@ func (ctl *Controller) Handler() http.Handler {
 	return ctl.tracer.Middleware(mux)
 }
 
-// respond writes v as the JSON response for a phase-timed request: the
-// phase split so far goes out in a Server-Timing header (set before the
-// body, so it covers every phase up to the write itself), and the write
-// is timed as the respond phase. The caller's deferred
-// phaseTimer.observe picks the respond time up afterwards.
-func (ctl *Controller) respond(w http.ResponseWriter, code int, v any, pt *phaseTimer) {
-	if st := pt.serverTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
-	start := time.Now()
-	writeJSON(w, code, v)
-	pt.add(phaseRespond, time.Since(start))
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -161,23 +146,9 @@ func writeErrorCode(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, api.Envelope{Error: &api.Error{Code: code, Message: msg}})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, http.StatusMethodNotAllowed, api.CodeBadRequest, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
 func (ctl *Controller) handleConnect(w http.ResponseWriter, r *http.Request) {
-	var req api.ConnectRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeHot(w, r, parseConnectRequest)
+	if !ok {
 		return
 	}
 	conn, err := wdm.ParseConnection(req.Connection)
@@ -205,12 +176,12 @@ func (ctl *Controller) handleConnect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctl.respond(w, http.StatusOK, api.ConnectResponse{Session: id, Fabric: plane}, &pt)
+	respondHot(w, &pt, api.ConnectResponse{Session: id, Fabric: plane}, appendConnectResponse)
 }
 
 func (ctl *Controller) handleBranch(w http.ResponseWriter, r *http.Request) {
-	var req api.BranchRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeHot(w, r, parseBranchRequest)
+	if !ok {
 		return
 	}
 	if len(req.Dests) == 0 {
@@ -241,12 +212,12 @@ func (ctl *Controller) handleBranch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, _ := ctl.Session(req.Session)
-	ctl.respond(w, http.StatusOK, info, &pt)
+	respondHot(w, &pt, info, appendSessionInfo)
 }
 
 func (ctl *Controller) handleDisconnect(w http.ResponseWriter, r *http.Request) {
-	var req api.DisconnectRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeHot(w, r, parseDisconnectRequest)
+	if !ok {
 		return
 	}
 	var pt phaseTimer
@@ -255,7 +226,7 @@ func (ctl *Controller) handleDisconnect(w http.ResponseWriter, r *http.Request) 
 		writeError(w, err)
 		return
 	}
-	ctl.respond(w, http.StatusOK, api.DisconnectResponse{Released: req.Session}, &pt)
+	respondHot(w, &pt, api.DisconnectResponse{Released: req.Session}, appendDisconnectResponse)
 }
 
 func (ctl *Controller) handleSession(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package switchd
 
 import (
 	"expvar"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,56 +17,70 @@ import (
 // dashboards.
 var routeBucketsMicros = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// histExemplar references the most recent traced observation that
-// landed in one latency bucket, for OpenMetrics exemplar exposition:
-// the /metrics scrape links each bucket to a concrete trace id at
-// /v1/debug/spans.
+// histExemplar is the most recent traced observation that landed in
+// one latency bucket, for OpenMetrics exemplar exposition: the /metrics
+// scrape links each bucket to a concrete trace id at /v1/debug/spans.
+// It is updated in place under its own lock, so recording one never
+// allocates (the trace id string is the span's, built once per trace).
 type histExemplar struct {
+	mu      sync.Mutex
 	traceID string
-	seconds float64
-	ts      float64 // unix seconds at observation
+	d       time.Duration
+	at      int64 // unix ns at observation
 }
 
-// latencyHist is one operation's latency histogram. All fields are
+// latencyHist is one operation's latency histogram. Counts are
 // lock-free atomics; a snapshot is monotone-consistent, not atomic.
 type latencyHist struct {
 	count     atomic.Int64
 	sumNs     atomic.Int64
 	buckets   []atomic.Int64 // len(routeBucketsMicros)+1, last = overflow
-	exemplars []atomic.Pointer[histExemplar]
+	exemplars []histExemplar
 }
 
 func newLatencyHist() *latencyHist {
 	n := len(routeBucketsMicros) + 1
 	return &latencyHist{
 		buckets:   make([]atomic.Int64, n),
-		exemplars: make([]atomic.Pointer[histExemplar], n),
+		exemplars: make([]histExemplar, n),
 	}
 }
 
-func (h *latencyHist) observe(d time.Duration) { h.observeEx(d, "") }
+func (h *latencyHist) observe(d time.Duration) { h.observeEx(d, "", 0) }
 
-// observeEx records one observation and, when the request was traced,
-// makes it the bucket's exemplar (last-writer-wins; exemplars are a
-// sample, not a log).
-func (h *latencyHist) observeEx(d time.Duration, traceID string) {
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-	i := len(routeBucketsMicros)
-	us := d.Microseconds()
+// exemplarStamp is the exemplar timestamp of an observation made now:
+// unix nanoseconds, or 0 (unused) when traceID is empty.
+func exemplarStamp(traceID string) int64 {
+	if traceID == "" {
+		return 0
+	}
+	return time.Now().UnixNano()
+}
+
+// bucketFor returns the index of the bucket d falls in: the first whose
+// upper bound is >= d (Prometheus le semantics), else the overflow.
+func bucketFor(d time.Duration) int {
 	for j, ub := range routeBucketsMicros {
-		if us <= ub {
-			i = j
-			break
+		if d <= time.Duration(ub)*time.Microsecond {
+			return j
 		}
 	}
+	return len(routeBucketsMicros)
+}
+
+// observeEx records one observation and, when the request was traced,
+// makes it the bucket's exemplar stamped at (unix ns; see
+// exemplarStamp) — last-writer-wins, exemplars are a sample, not a log.
+func (h *latencyHist) observeEx(d time.Duration, traceID string, at int64) {
+	h.count.Add(1)
+	h.sumNs.Add(int64(d))
+	i := bucketFor(d)
 	h.buckets[i].Add(1)
 	if traceID != "" {
-		h.exemplars[i].Store(&histExemplar{
-			traceID: traceID,
-			seconds: d.Seconds(),
-			ts:      float64(time.Now().UnixNano()) / 1e9,
-		})
+		e := &h.exemplars[i]
+		e.mu.Lock()
+		e.traceID, e.d, e.at = traceID, d, at
+		e.mu.Unlock()
 	}
 }
 
@@ -74,11 +89,15 @@ func (h *latencyHist) observeEx(d time.Duration, traceID string) {
 func (h *latencyHist) exemplarSnapshot() []obs.Exemplar {
 	out := make([]obs.Exemplar, len(h.buckets))
 	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
+		e := &h.exemplars[i]
+		e.mu.Lock()
+		traceID, d, at := e.traceID, e.d, e.at
+		e.mu.Unlock()
+		if traceID != "" {
 			out[i] = obs.Exemplar{
-				Labels: []obs.Label{{Name: "trace_id", Value: e.traceID}},
-				Value:  e.seconds,
-				Ts:     e.ts,
+				Labels: []obs.Label{{Name: "trace_id", Value: traceID}},
+				Value:  d.Seconds(),
+				Ts:     float64(at) / 1e9,
 			}
 		}
 	}

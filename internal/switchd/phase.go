@@ -2,7 +2,6 @@ package switchd
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs/span"
@@ -91,46 +90,67 @@ func (pt *phaseTimer) observe(m *Metrics, traceID string) {
 	if pt == nil {
 		return
 	}
+	at := exemplarStamp(traceID)
 	for p := phase(0); p < numPhases; p++ {
 		if pt.d[p] > 0 {
-			m.phase[p].observeEx(pt.d[p], traceID)
+			m.phase[p].observeEx(pt.d[p], traceID, at)
 		}
 	}
 }
 
 // annotate attaches the non-zero phases to sp as microsecond span
-// attributes. SetAttr boxes its value, so this only runs against an
-// active (sampled) span.
+// attributes.
 func (pt *phaseTimer) annotate(sp *span.Span) {
 	if pt == nil || !sp.Active() {
 		return
 	}
 	for p := phase(0); p < numPhases; p++ {
 		if pt.d[p] > 0 {
-			sp.SetAttr(phaseAttrs[p], pt.d[p].Microseconds())
+			sp.SetInt(phaseAttrs[p], pt.d[p].Microseconds())
 		}
 	}
 }
 
 // serverTiming renders the accumulated phases as a Server-Timing
 // header value ("lock_wait;dur=0.041, route_search;dur=0.012", dur in
-// milliseconds per the spec). Empty when nothing was timed. Allocates;
-// HTTP-path only.
+// milliseconds per the spec). Empty when nothing was timed. HTTP-path
+// only; the one allocation is the returned string.
 func (pt *phaseTimer) serverTiming() string {
 	if pt == nil {
 		return ""
 	}
-	var b strings.Builder
+	var arr [192]byte
+	b := arr[:0]
 	for p := phase(0); p < numPhases; p++ {
 		if pt.d[p] <= 0 {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
+		if len(b) > 0 {
+			b = append(b, ", "...)
 		}
-		b.WriteString(phaseNames[p])
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(float64(pt.d[p])/1e6, 'f', 3, 64))
+		b = append(b, phaseNames[p]...)
+		b = append(b, ";dur="...)
+		b = appendMillis(b, pt.d[p])
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendMillis appends d in milliseconds with three decimals, exactly as
+// strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64) renders it, in integer
+// arithmetic. Away from an exact half microsecond the float is too close
+// to d/1e6 (for any d under 10^9 ms) to round differently; at an exact
+// half its binary value decides the rounding, so that case defers to
+// the float.
+func appendMillis(b []byte, d time.Duration) []byte {
+	ns := int64(d)
+	us, rem := ns/1000, ns%1000
+	if rem == 500 {
+		return strconv.AppendFloat(b, float64(ns)/1e6, 'f', 3, 64)
+	}
+	if rem > 500 {
+		us++
+	}
+	b = strconv.AppendInt(b, us/1000, 10)
+	frac := us % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

@@ -212,6 +212,13 @@ type fabric struct {
 	cap        *traceCap
 	byConn     map[int]*connMeta
 	failedMids atomic.Int32
+
+	// routeSpan (guarded by mu) is the span a traced Add/AddBranch
+	// reports its middle-stage steps under; observeRoute is the bound
+	// observer installed for that call, built once so tracing a route
+	// allocates no closure.
+	routeSpan    *span.Span
+	observeRoute func(multistage.RouteStep)
 }
 
 // Controller is the live control plane. All methods are safe for
@@ -325,6 +332,7 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("switchd: building fabric replica %d: %w", i, err)
 		}
 		f := &fabric{net: net, byConn: make(map[int]*connMeta)}
+		f.observeRoute = f.routeStep
 		if cfg.CaptureTrace {
 			f.cap = newTraceCap()
 		}
@@ -370,29 +378,44 @@ func (ctl *Controller) Tracer() *span.Tracer { return ctl.tracer }
 // SLO returns the controller's burn-rate engine.
 func (ctl *Controller) SLO() *slo.Engine { return ctl.sloEng }
 
-// routeSpanObserver adapts the multistage route observer to the span
-// tracer: every middle-stage decision of one fabric operation becomes a
-// leaf span under parent. Rejection steps (everything but "selected")
-// are marked blocked — they only ever fire on a blocking event, so a
-// blocked trace always carries its per-middle rejection spans.
-func routeSpanObserver(parent *span.Span) func(multistage.RouteStep) {
-	return func(step multistage.RouteStep) {
-		ms := parent.StartChild("route.middle")
-		ms.SetAttr("middle", step.Middle)
-		ms.SetAttr("state", string(step.State))
-		ms.SetAttr("wave", step.Wave)
-		ms.SetAttr("round", step.Round)
-		if len(step.Serves) > 0 {
-			ms.SetAttr("serves", step.Serves)
-		}
-		if len(step.Rejected) > 0 {
-			ms.SetAttr("rejected", step.Rejected)
-		}
-		if step.State != multistage.MiddleSelected {
-			ms.SetBlocked("middle " + string(step.State))
-		}
-		ms.End()
+// traceRoute runs route (an Add or AddBranch; the caller holds f.mu)
+// with every middle-stage decision reported as a leaf span under sp,
+// when sp is active.
+func (f *fabric) traceRoute(sp *span.Span, route func()) {
+	if !sp.Active() {
+		route()
+		return
 	}
+	f.routeSpan = sp
+	f.net.SetRouteObserver(f.observeRoute)
+	defer func() {
+		f.net.SetRouteObserver(nil)
+		f.routeSpan = nil
+	}()
+	route()
+}
+
+// routeStep adapts the multistage route observer to the span tracer:
+// one middle-stage decision becomes a leaf span under f.routeSpan.
+// Rejection steps (everything but "selected") are marked blocked — they
+// only ever fire on a blocking event, so a blocked trace always carries
+// its per-middle rejection spans.
+func (f *fabric) routeStep(step multistage.RouteStep) {
+	ms := f.routeSpan.StartChild("route.middle")
+	ms.SetInt("middle", int64(step.Middle))
+	ms.SetString("state", string(step.State))
+	ms.SetInt("wave", int64(step.Wave))
+	ms.SetInt("round", int64(step.Round))
+	if len(step.Serves) > 0 {
+		ms.SetInts("serves", step.Serves)
+	}
+	if len(step.Rejected) > 0 {
+		ms.SetInts("rejected", step.Rejected)
+	}
+	if step.State != multistage.MiddleSelected {
+		ms.SetBlocked("middle " + string(step.State))
+	}
+	ms.End()
 }
 
 // fabricDead reports whether plane i has no working middle modules.
@@ -450,10 +473,10 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 	ctl.inflight.Add(1)
 	defer ctl.inflight.Add(-1)
 
-	ctx, sp := span.Start(ctx, "switchd.connect")
+	sp := span.FromContext(ctx).StartChild("switchd.connect")
 	defer sp.End()
 	defer pt.annotate(sp) // runs before sp.End (LIFO)
-	sp.SetAttr("connection", wdm.FormatConnection(c))
+	sp.SetConnection("connection", c)
 
 	admStart := time.Now()
 	if ctl.draining.Load() {
@@ -491,8 +514,8 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 		sp.SetError(err.Error())
 		return 0, 0, err
 	}
-	sp.SetAttr("session", id)
-	sp.SetAttr("fabric", plane)
+	sp.SetUint("session", id)
+	sp.SetInt("fabric", int64(plane))
 
 	// Last cancellation point before the serialized fabric section.
 	if cerr := ctx.Err(); cerr != nil {
@@ -505,26 +528,25 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 	var connID int
 	var addErr error
 	var elapsed, lockWait time.Duration
-	_, fabSp := span.Start(ctx, "fabric.add")
-	fabSp.SetAttr("fabric", plane)
+	fabSp := sp.StartChild("fabric.add")
+	fabSp.SetInt("fabric", int64(plane))
 	lockStart := time.Now()
 	func() {
 		f.mu.Lock()
 		lockWait = time.Since(lockStart)
 		defer f.mu.Unlock()
-		if fabSp.Active() {
-			f.net.SetRouteObserver(routeSpanObserver(fabSp))
-			defer f.net.SetRouteObserver(nil)
-		}
-		start := time.Now()
-		connID, addErr = f.net.Add(c)
-		elapsed = time.Since(start)
+		f.traceRoute(fabSp, func() {
+			start := time.Now()
+			connID, addErr = f.net.Add(c)
+			elapsed = time.Since(start)
+		})
 		f.cap.add(c, connID, addErr)
 	}()
 	pt.add(phaseLockWait, lockWait)
 	pt.add(phaseRouteSearch, elapsed)
 
-	ctl.metrics.connectLat.observeEx(elapsed, sp.TraceID())
+	tid := sp.TraceID()
+	ctl.metrics.connectLat.observeEx(elapsed, tid, exemplarStamp(tid))
 	if addErr == nil || multistage.IsBlocked(addErr) {
 		// The SLO counts admissible routing operations only: routed is
 		// good, blocked spends error budget; inadmissible requests and
@@ -543,7 +565,7 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 		fabSp.End()
 		rep, _ := multistage.AsBlockReport(addErr)
 		ctl.blockLog.record(BlockIncident{
-			Time: time.Now(), Op: "connect", Fabric: plane, TraceID: sp.TraceID(),
+			Time: time.Now(), Op: "connect", Fabric: plane, TraceID: tid,
 			Conn: wdm.FormatConnection(c), Error: addErr.Error(), Report: rep,
 		})
 		return 0, plane, addErr
@@ -581,10 +603,10 @@ func (ctl *Controller) AddBranch(ctx context.Context, id uint64, dests ...wdm.Po
 
 // addBranch is AddBranch's body with phase attribution (see connect).
 func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64, dests ...wdm.PortWave) error {
-	ctx, sp := span.Start(ctx, "switchd.branch")
+	sp := span.FromContext(ctx).StartChild("switchd.branch")
 	defer sp.End()
 	defer pt.annotate(sp)
-	sp.SetAttr("session", id)
+	sp.SetUint("session", id)
 
 	admStart := time.Now()
 	if ctl.draining.Load() {
@@ -606,34 +628,33 @@ func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64,
 		return err
 	}
 	f := ctl.fabrics[s.Fabric]
-	sp.SetAttr("fabric", s.Fabric)
+	sp.SetInt("fabric", int64(s.Fabric))
 	original := s.Conn
 	grown := s.Conn.Clone()
 	grown.Dests = append(grown.Dests, dests...)
 	grown = grown.Normalize()
-	sp.SetAttr("connection", wdm.FormatConnection(grown))
+	sp.SetConnection("connection", grown)
 	pt.add(phaseAdmission, time.Since(admStart))
 	var err error
 	var elapsed, lockWait time.Duration
-	_, fabSp := span.Start(ctx, "fabric.branch")
-	fabSp.SetAttr("fabric", s.Fabric)
+	fabSp := sp.StartChild("fabric.branch")
+	fabSp.SetInt("fabric", int64(s.Fabric))
 	lockStart := time.Now()
 	func() {
 		f.mu.Lock()
 		lockWait = time.Since(lockStart)
 		defer f.mu.Unlock()
-		if fabSp.Active() {
-			f.net.SetRouteObserver(routeSpanObserver(fabSp))
-			defer f.net.SetRouteObserver(nil)
-		}
-		start := time.Now()
-		err = f.net.AddBranch(s.ConnID, dests...)
-		elapsed = time.Since(start)
+		f.traceRoute(fabSp, func() {
+			start := time.Now()
+			err = f.net.AddBranch(s.ConnID, dests...)
+			elapsed = time.Since(start)
+		})
 		f.cap.branch(s.ConnID, original, grown, err)
 	}()
 	pt.add(phaseLockWait, lockWait)
 	pt.add(phaseRouteSearch, elapsed)
-	ctl.metrics.branchLat.observeEx(elapsed, sp.TraceID())
+	tid := sp.TraceID()
+	ctl.metrics.branchLat.observeEx(elapsed, tid, exemplarStamp(tid))
 	if err == nil || multistage.IsBlocked(err) {
 		ctl.sloEng.Record(err == nil, elapsed)
 	}
@@ -660,7 +681,7 @@ func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64,
 		fabSp.End()
 		rep, _ := multistage.AsBlockReport(err)
 		ctl.blockLog.record(BlockIncident{
-			Time: time.Now(), Op: "branch", Fabric: s.Fabric, Session: id, TraceID: sp.TraceID(),
+			Time: time.Now(), Op: "branch", Fabric: s.Fabric, Session: id, TraceID: tid,
 			Conn: wdm.FormatConnection(grown), Error: err.Error(), Report: rep,
 		})
 		return err
@@ -682,10 +703,10 @@ func (ctl *Controller) Disconnect(ctx context.Context, id uint64) error {
 
 // disconnect is Disconnect's body with phase attribution (see connect).
 func (ctl *Controller) disconnect(ctx context.Context, pt *phaseTimer, id uint64) error {
-	_, sp := span.Start(ctx, "switchd.disconnect")
+	sp := span.FromContext(ctx).StartChild("switchd.disconnect")
 	defer sp.End()
 	defer pt.annotate(sp)
-	sp.SetAttr("session", id)
+	sp.SetUint("session", id)
 	if cerr := ctx.Err(); cerr != nil {
 		sp.SetError(cerr.Error())
 		return cerr
