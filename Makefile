@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short race bench bench-json bench-fabric bench-handler cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
+.PHONY: all build vet staticcheck test test-short race bench bench-json bench-fabric bench-handler bench-setup cover fuzz repro slo-demo chaos-demo crash-demo cluster-demo prof-demo alert-demo curves-demo clean
 
 all: build vet race test
 
@@ -68,6 +68,22 @@ bench-handler:
 	fi
 	BENCH_LABEL=after $(BENCH_HANDLER) .
 
+# Cold-start record: a server's set-up phase by phase on both
+# BENCHMARK.json shapes (prof.Start, the fabric planes, switchd.New, the
+# handler and listener, the first GET /v1/status), each row the median
+# of 15 fresh processes, plus a built wdmserve's exec to its first 200,
+# one row per (label, GOMAXPROCS) in BENCH_setup.json with nproc and
+# GOMAXPROCS. BEFORE=<git rev> also measures that commit, as
+# bench-fabric does.
+BENCH_SETUP = BENCH_SETUP_JSON=$(CURDIR)/BENCH_setup.json $(GO) test -run '^$$' -bench BenchmarkColdSetup -benchtime 1x
+bench-setup:
+	@if [ -n "$(BEFORE)" ]; then \
+	    tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	    git archive $(BEFORE) | tar -x -C $$tmp && cp bench_test.go setup_bench_test.go $$tmp/ && \
+	    (cd $$tmp && BENCH_LABEL=before $(BENCH_SETUP) .) || exit 1; \
+	fi
+	BENCH_LABEL=after $(BENCH_SETUP) .
+
 # Per-package statement coverage for the serving and observability
 # packages.
 cover:
@@ -84,6 +100,16 @@ fuzz:
 	$(FUZZ) -fuzz='^FuzzDecodeBranchRequest$$' ./internal/switchd/
 	$(FUZZ) -fuzz='^FuzzDecodeDisconnectRequest$$' ./internal/switchd/
 
+# Readiness after launching a server: $(call wait_ready,HOST:PORT) polls
+# GET /v1/status every 20 ms until it answers 200, and fails the target
+# after 10 s. A standby answers /v1/status 503 until it is promoted, so
+# $(call wait_standby,HOST:PORT) polls its GET /v1/health instead, until
+# the standby reports a live stream from its primary.
+poll_step = i=$$((i+1)); [ $$i -lt 500 ] || { echo "$(1) not ready after 10s"; exit 1; }; sleep 0.02
+wait_ready = i=0; until curl -sf -o /dev/null http://$(1)/v1/status; do $(call poll_step,$(1)); done
+wait_standby = i=0; until curl -sf http://$(1)/v1/health | tr -d ' \n' | grep -q '"connected":true'; do \
+    $(call poll_step,$(1)); done
+
 # Live SLO/tracing demo: start a deliberately sub-bound server, drive
 # one traced blocked request, and print the trace / exemplar /
 # forensics / SLO joins plus a wdmtop frame (EXPERIMENTS.md § "Trace
@@ -93,7 +119,7 @@ slo-demo:
 	@$(GO) build -o /tmp/wdm-slo-demo-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-slo-demo-top ./cmd/wdmtop
 	@/tmp/wdm-slo-demo-serve -addr 127.0.0.1:8047 -m 1 -x 1 -replicas 1 -span-sample 1 & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
+	trap 'kill $$!' EXIT; $(call wait_ready,127.0.0.1:8047); \
 	curl -s -XPOST 127.0.0.1:8047/v1/connect -d '{"connection":"0.0>4.0"}'; \
 	curl -s -XPOST 127.0.0.1:8047/v1/connect -d '{"connection":"1.0>8.0"}' \
 	     -H 'traceparent: 00-$(SLO_DEMO_TID)-00f067aa0ba902b7-01'; \
@@ -114,7 +140,7 @@ slo-demo:
 chaos-demo:
 	@$(GO) build -o /tmp/wdm-chaos-serve ./cmd/wdmserve
 	@/tmp/wdm-chaos-serve -addr 127.0.0.1:8048 -m 15 -replicas 2 & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
+	trap 'kill $$!' EXIT; $(call wait_ready,127.0.0.1:8048); \
 	/tmp/wdm-chaos-serve -attack -target http://127.0.0.1:8048 -requests 300000 \
 	    -chaos "fail@1s f0:m0, fail@2s f0:m1, repair@3s f0:m0, repair@4s f0:m1" \
 	    -retries 4; \
@@ -130,7 +156,7 @@ crash-demo:
 	@$(GO) build -o /tmp/wdm-crash-wal ./cmd/wdmwal
 	@rm -rf /tmp/wdm-crash-data; \
 	/tmp/wdm-crash-serve -addr 127.0.0.1:8049 -replicas 2 -data-dir /tmp/wdm-crash-data & \
-	pid=$$!; sleep 0.5; \
+	pid=$$!; $(call wait_ready,127.0.0.1:8049); \
 	curl -s -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"0.0>4.0,9.0"}'; echo; \
 	curl -s -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"1.0>6.0"}'; echo; \
 	curl -s -XPOST 127.0.0.1:8049/v1/branch -d '{"session":1,"dests":["12.0"]}'; echo; \
@@ -138,7 +164,7 @@ crash-demo:
 	echo '--- wdmwal verify after SIGKILL'; \
 	/tmp/wdm-crash-wal verify /tmp/wdm-crash-data; \
 	/tmp/wdm-crash-serve -addr 127.0.0.1:8049 -replicas 2 -data-dir /tmp/wdm-crash-data & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
+	trap 'kill $$!' EXIT; $(call wait_ready,127.0.0.1:8049); \
 	echo '--- recovered session 1 after restart'; \
 	curl -s '127.0.0.1:8049/v1/session?id=1'; echo; \
 	echo '--- /v1/health durability row'; \
@@ -166,7 +192,9 @@ cluster-demo:
 	    -replicas 2 -snapshot-interval=-1s -data-dir /tmp/wdm-cluster-data/s2 & p2=$$!; \
 	/tmp/wdm-cluster-serve -cluster -shard 1 -standby-of 127.0.0.1:9072 -addr 127.0.0.1:9065 \
 	    -replicas 2 -snapshot-interval=-1s -data-dir /tmp/wdm-cluster-data/s1-standby & sb=$$!; \
-	trap 'kill -9 $$p0 $$p2 $$sb 2>/dev/null' EXIT; sleep 1; \
+	trap 'kill -9 $$p0 $$p2 $$sb 2>/dev/null' EXIT; \
+	$(call wait_ready,127.0.0.1:9061); $(call wait_ready,127.0.0.1:9062); \
+	$(call wait_ready,127.0.0.1:9063); $(call wait_standby,127.0.0.1:9065); \
 	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9061 -requests 3000 >/dev/null & a0=$$!; \
 	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9063 -requests 3000 >/dev/null & a2=$$!; \
 	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9062 -requests 3000; \
@@ -213,7 +241,8 @@ prof-demo:
 	/tmp/wdm-prof-serve -cluster -shard 1 -addr 127.0.0.1:9082 -repl-addr 127.0.0.1:9092 \
 	    -peers 'http://127.0.0.1:9081,http://127.0.0.1:9082' \
 	    -replicas 2 -prof-mutex 1 -data-dir /tmp/wdm-prof-data/s1 & p1=$$!; \
-	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; sleep 1; \
+	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; \
+	$(call wait_ready,127.0.0.1:9081); $(call wait_ready,127.0.0.1:9082); \
 	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9081 -requests 6000 >/dev/null & a0=$$!; \
 	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9082 -requests 6000; \
 	wait $$a0; \
@@ -261,7 +290,8 @@ alert-demo:
 	    -peers 'http://127.0.0.1:9101,http://127.0.0.1:9102' \
 	    -replicas 1 -history 250ms -alerts $(ALERT_DIR)/rules.json \
 	    -data-dir /tmp/wdm-alert-data/s1 & p1=$$!; \
-	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; sleep 1; \
+	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; \
+	$(call wait_ready,127.0.0.1:9101); $(call wait_ready,127.0.0.1:9102); \
 	/tmp/wdm-alert-serve -attack -target http://127.0.0.1:9102 -requests 2000 >/dev/null; \
 	m=$$(curl -s 127.0.0.1:9101/v1/status | tr -d ' \n' | sed 's/.*"m":\([0-9]*\).*/\1/'); \
 	echo "--- failing $$((m-1)) of $$m shard-0 middles (configured m stays at the bound)"; \
@@ -321,7 +351,8 @@ curves-demo:
 	@pkill -9 -f '^/tmp/wdm-curves-serve' 2>/dev/null; rm -rf $(CURVES_DIR); mkdir -p $(CURVES_DIR); \
 	/tmp/wdm-curves-serve -addr 127.0.0.1:8055 -replicas 1 >$(CURVES_DIR)/serve-bound.log 2>&1 & pb=$$!; \
 	/tmp/wdm-curves-serve -addr 127.0.0.1:8056 -replicas 1 -m 3 -x 1 >$(CURVES_DIR)/serve-below.log 2>&1 & pk=$$!; \
-	trap 'kill -9 $$pb $$pk 2>/dev/null' EXIT; sleep 0.5; \
+	trap 'kill -9 $$pb $$pk 2>/dev/null' EXIT; \
+	$(call wait_ready,127.0.0.1:8055); $(call wait_ready,127.0.0.1:8056); \
 	echo '--- strict sweep at the bound (m = 13): any P_block > 0 fails'; \
 	/tmp/wdm-curves-load -mode sweep -target http://127.0.0.1:8055 -points 1,2,4,8 \
 	    -arrivals 1200 -max-fanout 4 -churn 0.3 -strict -out $(CURVES_DIR)/BENCH_curves.json; \

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -45,7 +44,7 @@ func readFrame(br *bufio.Reader) ([]byte, int64, error) {
 		return nil, 0, &corruptError{fmt.Sprintf("torn frame payload (%d of %d bytes)", n, length)}
 	}
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got := crc32c(payload); got != want {
 		return nil, 0, &corruptError{fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, got)}
 	}
 	return payload, int64(frameHeader) + int64(length), nil

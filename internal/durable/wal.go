@@ -29,9 +29,13 @@ const (
 	defaultSegmentBytes = 16 << 20
 )
 
-// castagnoli is the CRC32C table (iSCSI polynomial), the same check
-// used by leveldb/rocksdb log formats.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// crc32c is a frame's checksum: CRC32C (iSCSI polynomial), the same
+// check used by leveldb/rocksdb log formats. The table is built on
+// first use (MakeTable caches it), not at package init, so a server
+// without a data directory never pays for it.
+func crc32c(payload []byte) uint32 {
+	return crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+}
 
 var (
 	// ErrClosed is returned by Append after Close or Seal.
@@ -519,7 +523,7 @@ func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func writeFrame(w *bufio.Writer, payload []byte) error {
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32c(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

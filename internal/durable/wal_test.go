@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"log/slog"
@@ -56,6 +58,24 @@ func mustAppend(t *testing.T, p *Plane, rec *Record) uint64 {
 		t.Fatalf("Append %s: %v", rec.Op, err)
 	}
 	return seq
+}
+
+// TestFrameBytesPinned pins the on-disk frame: little-endian length,
+// then the CRC32C of the payload (0xe3069283 is the polynomial's
+// published check value for "123456789"), then the payload.
+func TestFrameBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := writeFrame(w, []byte("123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte{9, 0, 0, 0, 0x83, 0x92, 0x06, 0xe3}, "123456789"...)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame = % x, want % x", buf.Bytes(), want)
+	}
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {

@@ -37,8 +37,9 @@ type Config struct {
 	// untouched; 100 is a production-safe default.
 	MutexFraction int
 	// BlockRateNs samples blocking events lasting at least this many
-	// nanoseconds (runtime.SetBlockProfileRate). 0 leaves the rate
-	// untouched; 100µs (100000) is a production-safe default.
+	// nanoseconds (runtime.SetBlockProfileRate), from the harness
+	// goroutine (see Start). 0 leaves the rate untouched; 100µs
+	// (100000) is a production-safe default.
 	BlockRateNs int
 	// Interval is the background snapshot period. 0 disables the
 	// background goroutine; profiles are then captured on demand per
@@ -48,6 +49,10 @@ type Config struct {
 	// (default 8).
 	Ring int
 }
+
+// setBlockRate applies a block-profile rate. Tests replace it to
+// observe when, and from where, the harness sets the rate.
+var setBlockRate = runtime.SetBlockProfileRate
 
 // snapshot is one captured profile: the binary pprof payload and when
 // it was taken.
@@ -66,14 +71,24 @@ type Harness struct {
 
 	prevMutex    int
 	restoreMutex bool
-	restoreBlock bool
 
+	// stop and done belong to the harness goroutine (nil when it does
+	// not run): it applies BlockRateNs, then runs the snapshot loop
+	// until stop closes, and closes done when it returns.
 	stop chan struct{}
 	done chan struct{}
 }
 
 // Start applies the configured profiler rates and, when Interval > 0,
 // starts the background snapshot loop.
+//
+// The mutex fraction is set before Start returns. The block rate is
+// set from the harness goroutine instead: runtime.SetBlockProfileRate
+// converts nanoseconds to CPU ticks, and the runtime calibrates that
+// conversion on first use by sleeping in 1ms steps until the process
+// is 5ms old. Called from here, the sleep would be most of a server's
+// set-up. Block profiling therefore starts within about 5ms of
+// process start rather than when Start returns.
 func Start(cfg Config) *Harness {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 8
@@ -83,20 +98,19 @@ func Start(cfg Config) *Harness {
 		h.prevMutex = runtime.SetMutexProfileFraction(cfg.MutexFraction)
 		h.restoreMutex = true
 	}
-	if cfg.BlockRateNs > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRateNs)
-		h.restoreBlock = true
-	}
-	if cfg.Interval > 0 {
+	if cfg.BlockRateNs > 0 || cfg.Interval > 0 {
 		h.stop = make(chan struct{})
 		h.done = make(chan struct{})
-		go h.loop()
+		go h.run()
 	}
 	return h
 }
 
-// Stop halts the background loop and restores the process profiler
-// rates the harness changed. Safe to call once on a started harness.
+// Stop halts the harness goroutine and restores the process profiler
+// rates the harness changed. It waits for the block rate to have been
+// applied before it turns block profiling off again, so a Start
+// followed at once by Stop leaves it off. Safe to call once on a
+// started harness.
 func (h *Harness) Stop() {
 	if h == nil {
 		return
@@ -108,13 +122,22 @@ func (h *Harness) Stop() {
 	if h.restoreMutex {
 		runtime.SetMutexProfileFraction(h.prevMutex)
 	}
-	if h.restoreBlock {
-		runtime.SetBlockProfileRate(0)
+	if h.cfg.BlockRateNs > 0 {
+		setBlockRate(0)
 	}
 }
 
-func (h *Harness) loop() {
+// run is the harness goroutine: it applies the block rate (which may
+// sleep; see Start) and then, when Interval > 0, snapshots the profile
+// rings until Stop.
+func (h *Harness) run() {
 	defer close(h.done)
+	if h.cfg.BlockRateNs > 0 {
+		setBlockRate(h.cfg.BlockRateNs)
+	}
+	if h.cfg.Interval <= 0 {
+		return
+	}
 	t := time.NewTicker(h.cfg.Interval)
 	defer t.Stop()
 	for {

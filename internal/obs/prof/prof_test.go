@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,145 @@ func TestStopRestoresProfilerRates(t *testing.T) {
 		t.Fatalf("mutex fraction after Stop = %d, want restored %d", got, before)
 	}
 }
+
+// gatedRate stands in for runtime.SetBlockProfileRate: a positive rate
+// blocks until release closes, as the runtime's first tick calibration
+// sleeps. Every call is recorded once it returns.
+type gatedRate struct {
+	entered chan int
+	release chan struct{}
+
+	mu    sync.Mutex
+	calls []int
+}
+
+func installGatedRate(t *testing.T) *gatedRate {
+	g := &gatedRate{entered: make(chan int, 1), release: make(chan struct{})}
+	saved := setBlockRate
+	setBlockRate = func(rate int) {
+		if rate > 0 {
+			g.entered <- rate
+			<-g.release
+		}
+		g.mu.Lock()
+		g.calls = append(g.calls, rate)
+		g.mu.Unlock()
+	}
+	t.Cleanup(func() { setBlockRate = saved })
+	return g
+}
+
+func (g *gatedRate) applied() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.calls...)
+}
+
+func TestStartDoesNotWaitForBlockRate(t *testing.T) {
+	g := installGatedRate(t)
+	before := runtime.SetMutexProfileFraction(-1)
+	started := make(chan *Harness, 1)
+	go func() { started <- Start(Config{MutexFraction: 7, BlockRateNs: 100_000}) }()
+	var h *Harness
+	select {
+	case h = <-started:
+	case <-time.After(5 * time.Second):
+		close(g.release)
+		(<-started).Stop()
+		t.Fatal("Start waited for the block rate to be applied")
+	}
+	// Start has returned and the setter cannot have finished: it is
+	// blocked, or about to be, on the harness goroutine.
+	if rate := <-g.entered; rate != 100_000 {
+		t.Fatalf("block rate set to %d, want 100000", rate)
+	}
+	if got := runtime.SetMutexProfileFraction(-1); got != 7 {
+		t.Fatalf("mutex fraction after Start = %d, want 7 (set synchronously)", got)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		h.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while the block rate was still being applied")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(g.release)
+	<-stopped
+	if got := g.applied(); len(got) != 2 || got[0] != 100_000 || got[1] != 0 {
+		t.Fatalf("block rate calls = %v, want [100000 0]: Stop restores only after the rate is applied", got)
+	}
+	if got := runtime.SetMutexProfileFraction(-1); got != before {
+		t.Fatalf("mutex fraction after Stop = %d, want restored %d", got, before)
+	}
+}
+
+func TestStartThenStopLeavesBlockProfilingOff(t *testing.T) {
+	g := installGatedRate(t)
+	close(g.release)
+	for _, interval := range []time.Duration{0, time.Hour} {
+		h := Start(Config{BlockRateNs: 1000, Interval: interval})
+		h.Stop()
+		<-g.entered
+	}
+	got := g.applied()
+	if len(got) != 4 || got[1] != 0 || got[3] != 0 {
+		t.Fatalf("block rate calls = %v, want each Start's rate followed by Stop's 0", got)
+	}
+}
+
+// blockOnChannel waits d on a channel receive, a blocking event the
+// block profiler attributes to this function.
+func blockOnChannel(d time.Duration) {
+	ch := make(chan struct{})
+	go func() {
+		time.Sleep(d)
+		close(ch)
+	}()
+	<-ch
+}
+
+func TestBlockProfileRecordsWaitOnceRateApplied(t *testing.T) {
+	applied := make(chan struct{})
+	saved := setBlockRate
+	setBlockRate = func(rate int) {
+		runtime.SetBlockProfileRate(rate)
+		if rate > 0 {
+			close(applied)
+		}
+	}
+	defer func() { setBlockRate = saved }()
+
+	const wait = 20 * 100_000 * time.Nanosecond
+	h := Start(Config{BlockRateNs: 100_000})
+	select {
+	case <-applied:
+	case <-time.After(5 * time.Second):
+		h.Stop()
+		t.Fatal("block rate never applied")
+	}
+	blockOnChannel(wait)
+	h.Stop()
+	blockAfterStop(wait)
+
+	var buf strings.Builder
+	if err := pprof.Lookup("block").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "prof.blockOnChannel") {
+		t.Fatalf("block profile has no entry for a %v channel wait:\n%s", wait, buf.String())
+	}
+	if strings.Contains(buf.String(), "prof.blockAfterStop") {
+		t.Fatal("block profile recorded a wait after Stop turned block profiling off")
+	}
+}
+
+// blockAfterStop is blockOnChannel under another name, so the profile
+// tells the two waits apart.
+func blockAfterStop(d time.Duration) { blockOnChannel(d) }
 
 func TestZeroConfigIsInert(t *testing.T) {
 	before := runtime.SetMutexProfileFraction(-1)
