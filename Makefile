@@ -134,18 +134,22 @@ slo-demo:
 
 # Chaos drill (EXPERIMENTS.md § "Chaos walkthrough", scripted): a
 # server at m = bound + 2 spares (bound is 13 for the default fabric),
-# a load generator failing two plane-0 middle modules mid-run and
-# repairing them, retries on. The run must end with blocked == 0 and
-# dropped == 0; the health rollup walks ok -> degraded -> ok.
+# wdmload's max-rate closed loop failing two plane-0 middle modules
+# mid-run and repairing them, retries on. -strict fails the drill on
+# any blocked request, any lost session or any chaos call that errs;
+# the health rollup walks ok -> degraded -> ok.
 chaos-demo:
 	@$(GO) build -o /tmp/wdm-chaos-serve ./cmd/wdmserve
-	@/tmp/wdm-chaos-serve -addr 127.0.0.1:8048 -m 15 -replicas 2 & \
+	@$(GO) build -o /tmp/wdm-chaos-load ./cmd/wdmload
+	@/tmp/wdm-chaos-serve -addr 127.0.0.1:8048 -m 15 -replicas 2 >/tmp/wdm-chaos-serve.log 2>&1 & \
 	trap 'kill $$!' EXIT; $(call wait_ready,127.0.0.1:8048); \
-	/tmp/wdm-chaos-serve -attack -target http://127.0.0.1:8048 -requests 300000 \
+	/tmp/wdm-chaos-load -mode steady -erlangs 0 -target http://127.0.0.1:8048 -arrivals 300000 \
 	    -chaos "fail@1s f0:m0, fail@2s f0:m1, repair@3s f0:m0, repair@4s f0:m1" \
-	    -retries 4; \
+	    -retries 4 -strict \
+	    || { echo 'CHAOS DEMO FAILED: blocked, lost sessions or a failed chaos call'; exit 1; }; \
 	echo '--- /v1/health after the drill'; \
-	curl -s 127.0.0.1:8048/v1/health; echo
+	curl -s 127.0.0.1:8048/v1/health; echo; \
+	echo 'chaos demo OK: zero blocked, zero lost, every chaos call served'
 
 # Crash drill (EXPERIMENTS.md § "Crash walkthrough", scripted): a
 # durable server takes acknowledged traffic, dies on SIGKILL with no
@@ -183,6 +187,7 @@ crash-demo:
 cluster-demo:
 	@$(GO) build -o /tmp/wdm-cluster-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-cluster-wal ./cmd/wdmwal
+	@$(GO) build -o /tmp/wdm-cluster-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-cluster-serve' 2>/dev/null; rm -rf /tmp/wdm-cluster-data; mkdir -p /tmp/wdm-cluster-data; \
 	/tmp/wdm-cluster-serve -cluster -shard 0 -addr 127.0.0.1:9061 -repl-addr 127.0.0.1:9071 \
 	    -replicas 2 -snapshot-interval=-1s -data-dir /tmp/wdm-cluster-data/s0 & p0=$$!; \
@@ -195,9 +200,9 @@ cluster-demo:
 	trap 'kill -9 $$p0 $$p2 $$sb 2>/dev/null' EXIT; \
 	$(call wait_ready,127.0.0.1:9061); $(call wait_ready,127.0.0.1:9062); \
 	$(call wait_ready,127.0.0.1:9063); $(call wait_standby,127.0.0.1:9065); \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9061 -requests 3000 >/dev/null & a0=$$!; \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9063 -requests 3000 >/dev/null & a2=$$!; \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9062 -requests 3000; \
+	/tmp/wdm-cluster-load -mode steady -erlangs 0 -target http://127.0.0.1:9061 -arrivals 3000 >/dev/null 2>&1 & a0=$$!; \
+	/tmp/wdm-cluster-load -mode steady -erlangs 0 -target http://127.0.0.1:9063 -arrivals 3000 >/dev/null 2>&1 & a2=$$!; \
+	/tmp/wdm-cluster-load -mode steady -erlangs 0 -target http://127.0.0.1:9062 -arrivals 3000; \
 	wait $$a0 $$a2; \
 	sid=$$(curl -s -XPOST 127.0.0.1:9062/v1/connect -d '{"connection":"0.0>4.0,9.0"}' \
 	    | tr -d ' \n' | sed 's/.*"session":\([0-9]*\).*/\1/'); \
@@ -234,6 +239,7 @@ cluster-demo:
 PROF_DIR ?= /tmp/wdm-prof-demo
 prof-demo:
 	@$(GO) build -o /tmp/wdm-prof-serve ./cmd/wdmserve
+	@$(GO) build -o /tmp/wdm-prof-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-prof-serve' 2>/dev/null; rm -rf $(PROF_DIR) /tmp/wdm-prof-data; mkdir -p $(PROF_DIR); \
 	/tmp/wdm-prof-serve -cluster -shard 0 -addr 127.0.0.1:9081 -repl-addr 127.0.0.1:9091 \
 	    -peers 'http://127.0.0.1:9081,http://127.0.0.1:9082' \
@@ -243,8 +249,8 @@ prof-demo:
 	    -replicas 2 -prof-mutex 1 -data-dir /tmp/wdm-prof-data/s1 & p1=$$!; \
 	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; \
 	$(call wait_ready,127.0.0.1:9081); $(call wait_ready,127.0.0.1:9082); \
-	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9081 -requests 6000 >/dev/null & a0=$$!; \
-	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9082 -requests 6000; \
+	/tmp/wdm-prof-load -mode steady -erlangs 0 -target http://127.0.0.1:9081 -arrivals 6000 >/dev/null 2>&1 & a0=$$!; \
+	/tmp/wdm-prof-load -mode steady -erlangs 0 -target http://127.0.0.1:9082 -arrivals 6000; \
 	wait $$a0; \
 	echo '--- mutex profile (debug text head)'; \
 	curl -s '127.0.0.1:9081/v1/debug/prof?type=mutex&debug=1' > $(PROF_DIR)/mutex.txt; \
@@ -280,6 +286,7 @@ ALERT_DIR ?= /tmp/wdm-alert-demo
 ALERT_RULES := {"rules":[{"name":"blocked_in_nonblocking_regime","expr":"rate(wdm_blocked_total[10s])","op":">","value":0,"for":"500ms","guard":{"expr":"wdm_m_margin","op":">=","value":0},"summary":"P_block > 0 at or above the sufficient bound"}]}
 alert-demo:
 	@$(GO) build -o /tmp/wdm-alert-serve ./cmd/wdmserve
+	@$(GO) build -o /tmp/wdm-alert-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-alert-serve' 2>/dev/null; rm -rf $(ALERT_DIR) /tmp/wdm-alert-data; mkdir -p $(ALERT_DIR); \
 	printf '%s\n' '$(ALERT_RULES)' > $(ALERT_DIR)/rules.json; \
 	/tmp/wdm-alert-serve -cluster -shard 0 -addr 127.0.0.1:9101 -repl-addr 127.0.0.1:9111 \
@@ -292,13 +299,13 @@ alert-demo:
 	    -data-dir /tmp/wdm-alert-data/s1 & p1=$$!; \
 	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; \
 	$(call wait_ready,127.0.0.1:9101); $(call wait_ready,127.0.0.1:9102); \
-	/tmp/wdm-alert-serve -attack -target http://127.0.0.1:9102 -requests 2000 >/dev/null; \
+	/tmp/wdm-alert-load -mode steady -erlangs 0 -target http://127.0.0.1:9102 -arrivals 2000 >/dev/null 2>&1; \
 	m=$$(curl -s 127.0.0.1:9101/v1/status | tr -d ' \n' | sed 's/.*"m":\([0-9]*\).*/\1/'); \
 	echo "--- failing $$((m-1)) of $$m shard-0 middles (configured m stays at the bound)"; \
 	i=0; while [ $$i -lt $$((m-1)) ]; do \
 	    curl -s -XPOST 127.0.0.1:9101/v1/admin/fail -d "{\"fabric\":0,\"middle\":$$i}" >/dev/null; \
 	    i=$$((i+1)); done; \
-	/tmp/wdm-alert-serve -attack -target http://127.0.0.1:9101 -requests 4000 >/dev/null; \
+	/tmp/wdm-alert-load -mode steady -erlangs 0 -target http://127.0.0.1:9101 -arrivals 4000 >/dev/null 2>&1; \
 	echo '--- waiting for blocked_in_nonblocking_regime to fire'; \
 	fired=0; i=0; while [ $$i -lt 40 ]; do \
 	    if curl -s 127.0.0.1:9101/v1/alerts | tr -d ' \n' | grep -q '"state":"firing"'; then fired=1; break; fi; \

@@ -29,9 +29,9 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/obs/span"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/switchd"
 	"repro/internal/switchd/api"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -162,23 +162,17 @@ func BenchmarkBlockingVsM(b *testing.B) {
 		b.Run(frac.name, func(b *testing.B) {
 			var p float64
 			for i := 0; i < b.N; i++ {
-				params := base
-				params.M = frac.m
-				net, err := multistage.New(params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(net, sim.Config{
-					Seed: int64(i), Model: wdm.MSW, Dim: wdm.Dim{N: 16, K: 2},
-					Requests: 600, Load: 10, MaxFanout: 8,
-					IsBlocked: multistage.IsBlocked,
+				points, err := traffic.SweepM(traffic.MSweepConfig{
+					Base: base, Ms: []int{frac.m}, Seeds: []int64{int64(i)},
+					Engine: traffic.Config{Arrivals: 600, Erlangs: 10, MaxFanout: 8},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				p = res.BlockingProbability()
-				if frac.m == suffM && res.Blocked != 0 {
-					b.Fatalf("blocked %d requests at the sufficient bound", res.Blocked)
+				res := points[0].Total()
+				p = res.PBlock()
+				if frac.m == suffM && res.BlockedTotal() != 0 {
+					b.Fatalf("blocked %d requests at the sufficient bound", res.BlockedTotal())
 				}
 			}
 			b.ReportMetric(float64(frac.m), "m")
@@ -630,8 +624,6 @@ func BenchmarkFabricScale(b *testing.B) {
 // heavy dynamic traffic with zero blocking across seeds. DESIGN.md
 // ablation 2: the greedy order is what lets m stay at the theorem bound.
 func BenchmarkAblationRoutingStrategy(b *testing.B) {
-	seeds := []int64{1, 2, 3}
-	cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8}
 	suffM, _ := multistage.SufficientMinM(multistage.MSWDominant, wdm.MSW, 4, 4, 2)
 	for _, strat := range []multistage.Strategy{multistage.GreedyMinIntersection, multistage.FirstFit} {
 		b.Run(strat.String(), func(b *testing.B) {
@@ -640,16 +632,34 @@ func BenchmarkAblationRoutingStrategy(b *testing.B) {
 				base := multistage.Params{
 					N: 16, K: 2, R: 4, Model: wdm.MSW, Strategy: strat, Lite: true,
 				}
-				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 2*suffM)
-				if err != nil {
-					b.Fatal(err)
-				}
+				minM = minBlockFreeM(b, base, false, 2*suffM)
 			}
 			b.ReportMetric(float64(minM), "empirical-min-m")
 			b.ReportMetric(float64(suffM), "theorem-m")
 		})
 	}
+}
+
+// minBlockFreeM returns the smallest middle-stage count m in [1, hi] at
+// which the network built from base (with that m) routes the offline
+// workload — 1200 arrivals at 10 Erlangs, fanout up to 8 — without
+// blocking for seeds 1, 2 and 3, or hi+1 if none does: the empirical
+// analogue of the theorems' minimal m. Blocking is monotone in m only
+// statistically, so the scan is linear from 1 upward.
+func minBlockFreeM(b *testing.B, base multistage.Params, repack bool, hi int) int {
+	for m := 1; m <= hi; m++ {
+		points, err := traffic.SweepM(traffic.MSweepConfig{
+			Base: base, Ms: []int{m}, Seeds: []int64{1, 2, 3}, Repack: repack,
+			Engine: traffic.Config{Arrivals: 1200, Erlangs: 10, MaxFanout: 8},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t := points[0].Total(); t.BlockedTotal() == 0 {
+			return m
+		}
+	}
+	return hi + 1
 }
 
 // BenchmarkAblationLinkSemantics compares the destination-multiset link
@@ -658,8 +668,6 @@ func BenchmarkAblationRoutingStrategy(b *testing.B) {
 // MAW-dominant construction. DESIGN.md ablation 3: the multiset
 // machinery is what keeps the middle stage small when k > 1.
 func BenchmarkAblationLinkSemantics(b *testing.B) {
-	seeds := []int64{1, 2, 3}
-	cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8}
 	suffM, _ := multistage.SufficientMinM(multistage.MAWDominant, wdm.MAW, 4, 4, 4)
 	for _, conservative := range []bool{false, true} {
 		name := "multiset"
@@ -674,11 +682,7 @@ func BenchmarkAblationLinkSemantics(b *testing.B) {
 					Construction:      multistage.MAWDominant,
 					ConservativeLinks: conservative, Lite: true,
 				}
-				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 6*suffM)
-				if err != nil {
-					b.Fatal(err)
-				}
+				minM = minBlockFreeM(b, base, false, 6*suffM)
 			}
 			b.ReportMetric(float64(minM), "empirical-min-m")
 			b.ReportMetric(float64(suffM), "theorem-m")
@@ -788,22 +792,45 @@ func BenchmarkLeeVsSimulation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sim.Run(net, sim.Config{
-					Seed: 5, Model: wdm.MSW, Dim: wdm.Dim{N: 16, K: 2},
-					Requests: 4000, Load: 8, MaxFanout: 1, // unicast: Lee's setting
-					IsBlocked: multistage.IsBlocked,
+				sampler := &utilSampler{Network: net}
+				res, err := traffic.RunLocal(net, sampler, traffic.Config{
+					Seed: 5, Arrivals: 4000, Erlangs: 8, MaxFanout: 1, // unicast: Lee's setting
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				measured = res.BlockingProbability()
-				u := net.Utilization()
-				lee = analytic.LeeBlocking(u.InLinkBusy, u.OutLinkBusy, m)
+				measured = res.PBlock()
+				in, out := sampler.mean()
+				lee = analytic.LeeBlocking(in, out, m)
 			}
 			b.ReportMetric(measured, "pblock-sim")
 			b.ReportMetric(lee, "pblock-lee")
 		})
 	}
+}
+
+// utilSampler is a plane that records the network's link occupancy as
+// each request arrives, so Lee's approximation is evaluated at the
+// load the requests actually met.
+type utilSampler struct {
+	*multistage.Network
+	in, out float64
+	n       int
+}
+
+func (u *utilSampler) Add(c wdm.Connection) (int, error) {
+	ut := u.Network.Utilization()
+	u.in += ut.InLinkBusy
+	u.out += ut.OutLinkBusy
+	u.n++
+	return u.Network.Add(c)
+}
+
+func (u *utilSampler) mean() (in, out float64) {
+	if u.n == 0 {
+		return 0, 0
+	}
+	return u.in / float64(u.n), u.out / float64(u.n)
 }
 
 // BenchmarkRecursiveDepthCost evaluates Section 3's recursive
@@ -841,7 +868,6 @@ func BenchmarkRecursiveDepthCost(b *testing.B) {
 // Rearrangement rides far below the Theorem 1 bound — the classic
 // strict vs rearrangeable trade-off, here measured on WDM multicast.
 func BenchmarkRepack(b *testing.B) {
-	seeds := []int64{1, 2, 3}
 	suffM, _ := multistage.SufficientMinM(multistage.MSWDominant, wdm.MSW, 4, 4, 2)
 	for _, repack := range []bool{false, true} {
 		name := "strict"
@@ -852,12 +878,7 @@ func BenchmarkRepack(b *testing.B) {
 			var minM int
 			for i := 0; i < b.N; i++ {
 				base := multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW, Lite: true}
-				cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8, Repack: repack}
-				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 2*suffM)
-				if err != nil {
-					b.Fatal(err)
-				}
+				minM = minBlockFreeM(b, base, repack, 2*suffM)
 			}
 			b.ReportMetric(float64(minM), "empirical-min-m")
 			b.ReportMetric(float64(suffM), "theorem-m")

@@ -18,7 +18,17 @@
 //
 // holds one load point at watchable speed (one mean holding time =
 // -timescale) so the server's wdm_loadgen_* gauges, sparklines, and
-// wdmtop fleet view move in real time.
+// wdmtop fleet view move in real time. With -erlangs 0 the steady run
+// is the max-rate closed loop instead: each worker keeps a few sessions
+// live and recycles them as fast as the server answers.
+//
+//	wdmload -mode steady -erlangs 0 -arrivals 20000 -retries 4 -strict \
+//	    -chaos "fail@2s f0:m2, repair@6s f0:m2"
+//
+// is the chaos drill: it fails a middle module mid-load and repairs it
+// later, with client retries on 429/503. At m = bound + f spares the
+// run must end with zero blocks, zero lost sessions and no failed
+// chaos call, which -strict asserts.
 //
 //	wdmload -mode replay -replay BENCH_curves.json
 //
@@ -59,25 +69,31 @@ func main() {
 	workers := flag.Int("workers", 0, "workers per fabric replica (0 = mode default)")
 	out := flag.String("out", "BENCH_curves.json", "sweep/replay: output artifact path")
 	stream := flag.String("stream", "", "write the deterministic request stream to this file")
-	strict := flag.Bool("strict", false, "sweep: exit 1 if any point measures P_block > 0; replay: exit 1 on drift outside the recorded Wilson intervals")
+	strict := flag.Bool("strict", false, "sweep: exit 1 if any point measures P_block > 0; steady: exit 1 on any block, lost session or failed chaos call; replay: exit 1 on drift outside the recorded Wilson intervals")
 	z := flag.Float64("z", 1.96, "Wilson interval critical value")
-	erlangs := flag.Float64("erlangs", 4, "steady: offered load in Erlangs")
+	erlangs := flag.Float64("erlangs", 4, "steady: offered load in Erlangs (0 = max-rate closed loop)")
 	timescale := flag.Duration("timescale", 0, "steady: wall-clock duration of one mean holding time (0 = as fast as the target answers)")
 	replayPath := flag.String("replay", "BENCH_curves.json", "replay: recorded sweep artifact to reproduce")
+	chaos := flag.String("chaos", "", `steady: failure-plane schedule, e.g. "fail@10s f0:m2, repair@30s f0:m2"`)
+	retries := flag.Int("retries", 1, "client attempts per request incl. the first (jittered backoff on 429/503)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	cl := client.New(*target, client.WithRetry(client.RetryPolicy{MaxAttempts: *retries}))
 	ecfg := traffic.Config{
-		Client:           client.New(*target),
+		Client:           cl,
 		Seed:             *seed,
 		Arrivals:         *arrivals,
 		WorkersPerFabric: *workers,
 		MaxFanout:        *maxFanout,
 		MaxLive:          *maxLive,
 	}
-	var err error
+	events, err := traffic.ParseChaos(*chaos)
+	if err != nil {
+		fatal(err)
+	}
 	if ecfg.Arrival, err = traffic.ParseArrival(*arrival); err != nil {
 		fatal(err)
 	}
@@ -110,7 +126,7 @@ func main() {
 		}
 		runSweep(ctx, traffic.SweepConfig{Engine: ecfg, Points: pts, Z: *z, Logf: logf}, *out, *strict)
 	case "steady":
-		runSteady(ctx, ecfg, *erlangs, *timescale)
+		runSteady(ctx, cl, ecfg, *erlangs, *timescale, events, *strict)
 	case "replay":
 		runReplay(ctx, ecfg, *replayPath, *out, *z, *strict)
 	default:
@@ -137,31 +153,46 @@ func runSweep(ctx context.Context, cfg traffic.SweepConfig, out string, strict b
 }
 
 // runSteady holds one load point until the arrival budget is spent or
-// the process is interrupted, printing a rollup at the end.
-func runSteady(ctx context.Context, ecfg traffic.Config, erlangs float64, timescale time.Duration) {
+// the process is interrupted, firing the chaos schedule alongside, and
+// prints a rollup at the end. With strict set, any block, lost session
+// or failed chaos call fails the run.
+func runSteady(ctx context.Context, cl *client.Client, ecfg traffic.Config, erlangs float64, timescale time.Duration, events []traffic.ChaosEvent, strict bool) {
 	ecfg.Erlangs = erlangs
 	ecfg.TimeScale = timescale
 	eng, err := traffic.NewEngine(ecfg)
 	if err != nil {
 		fatal(err)
 	}
-	repCtx, stopReport := context.WithCancel(context.Background())
+	bgCtx, stopBg := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		traffic.ReportLoop(repCtx, ecfg.Client, eng.Progress(), erlangs)
+		traffic.ReportLoop(bgCtx, cl, eng.Progress(), erlangs)
 	}()
+	chaosDone := make(chan []traffic.ChaosOutcome, 1)
+	go func() { chaosDone <- traffic.RunChaos(bgCtx, cl, time.Now(), events) }()
 	rep, err := eng.Run(ctx)
-	stopReport()
+	stopBg()
 	<-done
+	chaos := <-chaosDone
 	if err != nil && ctx.Err() == nil {
 		fatal(err)
 	}
 	s := rep.Stats
 	lat := traffic.LatencyQuantiles(s.Latencies)
-	logf("steady %.3g Erlangs: offered=%d routed=%d blocked=%d (P_block=%.4f) branches=%d shrinks=%d in %v — connect p50/p99 %.0f/%.0f µs",
-		erlangs, s.Offered(), s.Routed, s.BlockedTotal(), s.PBlock(), s.Branches, s.Shrinks,
+	logf("steady %.3g Erlangs: offered=%d routed=%d blocked=%d (P_block=%.4f) branches=%d shrinks=%d lost=%d retries=%d in %v — connect p50/p99 %.0f/%.0f µs",
+		erlangs, s.Offered(), s.Routed, s.BlockedTotal(), s.PBlock(), s.Branches, s.Shrinks, s.Lost, cl.Retries(),
 		rep.Duration.Round(time.Millisecond), lat.P50Micros, lat.P99Micros)
+	failed := 0
+	for _, c := range chaos {
+		logf("%v", c)
+		if c.Error != "" {
+			failed++
+		}
+	}
+	if strict && (s.BlockedTotal() > 0 || s.Lost > 0 || failed > 0) {
+		fatal(fmt.Errorf("strict: blocked=%d lost=%d failed chaos calls=%d, want all 0", s.BlockedTotal(), s.Lost, failed))
+	}
 }
 
 // runReplay re-runs a recorded sweep from its artifact and compares

@@ -35,17 +35,17 @@ import (
 	"repro/internal/benes"
 	"repro/internal/capacity"
 	"repro/internal/crossbar"
+	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
 	"repro/internal/obs/tsdb"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/switchd/client"
 	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
 func main() {
-	series := flag.String("series", "cost", "series to emit: cost, blocking, capacity, hierarchy")
+	series := flag.String("series", "cost", "series to emit: cost, blocking, load, capacity, hierarchy, query, curves")
 	n := flag.Int("n", 16, "network size for -series blocking")
 	r := flag.Int("r", 4, "outer modules for -series blocking")
 	k := flag.Int("k", 2, "wavelengths per fiber")
@@ -159,7 +159,8 @@ func querySeries(target, query, start, end string, step time.Duration, fleet boo
 }
 
 // loadSeries emits blocking-vs-load curves at a quarter, half, and the
-// full sufficient middle-stage count.
+// full sufficient middle-stage count: a traffic.Sweep over offered
+// Erlangs against one in-process plane per m, with Wilson intervals.
 func loadSeries(model wdm.Model, n, r, k, requests int, seed int64) {
 	base := multistage.Params{N: n, K: k, R: r, Model: model, Lite: true}
 	norm, err := base.Normalize()
@@ -167,30 +168,37 @@ func loadSeries(model wdm.Model, n, r, k, requests int, seed int64) {
 		fatal(err)
 	}
 	loads := []float64{1, 2, 4, 6, 8, 12, 16, 24}
-	t := report.New("", "m", "load", "offered", "blocked", "p_block")
-	for _, m := range []int{maxInt(1, norm.M/4), maxInt(1, norm.M/2), norm.M} {
-		p := base
+	t := report.New("", "m", "load", "offered", "blocked", "p_block", "wilson_lo", "wilson_hi")
+	for _, m := range []int{max(1, norm.M/4), max(1, norm.M/2), norm.M} {
+		p := norm
 		p.M = m
-		points, err := sim.SweepLoad(p, loads, sim.Config{
-			Seed: seed, Requests: requests, MaxFanout: n / 2,
+		net, err := multistage.New(p)
+		if err != nil {
+			fatal(err)
+		}
+		curves, err := traffic.Sweep(context.Background(), traffic.SweepConfig{
+			Engine: traffic.Config{
+				Client: traffic.NewLocal(traffic.PlaneStatus(backend.ForConstruction(p.Construction), net.Params()), net),
+				Seed:   seed, Arrivals: requests, MaxFanout: n / 2,
+			},
+			Points: loads,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		for _, pt := range points {
-			t.AddRow(report.Int(m), fmt.Sprintf("%.1f", pt.Load),
-				report.Int(pt.Result.Offered), report.Int(pt.Result.Blocked),
-				fmt.Sprintf("%.6f", pt.Result.BlockingProbability()))
+		if err := net.Verify(); err != nil {
+			fatal(fmt.Errorf("m=%d: %w", m, err))
+		}
+		if left := net.Len(); left != 0 {
+			fatal(fmt.Errorf("m=%d: %d connections left after the sweep", m, left))
+		}
+		for _, pt := range curves.Points {
+			t.AddRow(report.Int(m), fmt.Sprintf("%.1f", pt.Erlangs),
+				report.Int(pt.Offered), report.Int(pt.Blocked), fmt.Sprintf("%.6f", pt.PBlock),
+				fmt.Sprintf("%.6f", pt.WilsonLo), fmt.Sprintf("%.6f", pt.WilsonHi))
 		}
 	}
 	emit(t)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func costSeries(k int) {
@@ -227,17 +235,18 @@ func blockingSeries(model wdm.Model, n, r, k, requests int, seed int64) {
 	for m := 1; m <= norm.M+norm.M/4+1; m++ {
 		ms = append(ms, m)
 	}
-	points, err := sim.SweepMParallel(base, ms, sim.Config{
-		Seed: seed, Requests: requests, Load: 10, MaxFanout: n / 2,
+	points, err := traffic.SweepM(traffic.MSweepConfig{
+		Base: base, Ms: ms, Seeds: []int64{seed},
+		Engine: traffic.Config{Arrivals: requests, Erlangs: 10, MaxFanout: n / 2},
 	})
 	if err != nil {
 		fatal(err)
 	}
-	sort.Slice(points, func(a, b int) bool { return points[a].M < points[b].M })
 	t := report.New("", "m", "offered", "blocked", "p_block")
 	for _, pt := range points {
-		t.AddRow(report.Int(pt.M), report.Int(pt.Result.Offered), report.Int(pt.Result.Blocked),
-			fmt.Sprintf("%.6f", pt.Result.BlockingProbability()))
+		s := pt.Total()
+		t.AddRow(report.Int(pt.M), report.Int(s.Offered()), report.Int(s.BlockedTotal()),
+			fmt.Sprintf("%.6f", s.PBlock()))
 	}
 	emit(t)
 }

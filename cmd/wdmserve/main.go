@@ -3,10 +3,9 @@
 // WDM fabric replicas — built from any registered fabric backend (msw,
 // maw, awg, mesh; see GET /v1/fabrics) — and serves Connect / AddBranch
 // / Disconnect / Status over HTTP+JSON. With the fabric provisioned at
-// its backend's sufficient bound (the default), the /v1/metrics,
-// /metrics (Prometheus) and /debug/vars endpoints expose the paper's
-// nonblocking claim as a live invariant: `blocked` stays 0 under any
-// admissible traffic.
+// its backend's sufficient bound (the default), the /v1/metrics and
+// /metrics (Prometheus) endpoints expose the paper's nonblocking claim
+// as a live invariant: `blocked` stays 0 under any admissible traffic.
 //
 // Server (three-stage Clos; -fabric awg and -fabric mesh select the
 // AWG-Clos and ring-mesh backends):
@@ -20,16 +19,8 @@
 //	curl localhost:8047/v1/debug/trace > incident.trace
 //	wdmtrace -replay incident.trace -n 16 -k 2 -r 4 -m 3 -x 1
 //
-// Load generator (against a running server):
-//
-//	wdmserve -attack -target http://localhost:8047 -requests 10000 -live 6
-//
-// Chaos drill — fail a middle module mid-load, repair it later, with
-// client retries on 429/503; at m = bound + f spares the run must end
-// with zero blocks and zero lost sessions:
-//
-//	wdmserve -attack -target http://localhost:8047 -requests 20000 \
-//	    -chaos "fail@2s f0:m2, repair@6s f0:m2" -retries 4
+// Load and chaos drills run from wdmload against a running server
+// (wdmload -mode steady -erlangs 0 -chaos ...).
 //
 // Durable state plane — journal every acknowledged mutation to a
 // write-ahead log, checkpoint periodically, and survive kill -9 (a
@@ -70,7 +61,6 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd"
-	"repro/internal/switchd/client"
 	"repro/internal/wdm"
 )
 
@@ -81,8 +71,7 @@ func main() {
 	k := flag.Int("k", 2, "wavelengths per fiber")
 	r := flag.Int("r", 4, "outer-stage module count (must divide N)")
 	modelName := flag.String("model", "msw", "multicast model: msw, msdw, maw")
-	fabricName := flag.String("fabric", "", "fabric backend: "+strings.Join(backend.Names(), ", ")+" (empty = derive from -construction)")
-	constrName := flag.String("construction", "", "deprecated alias of -fabric (kept for pre-backend command lines)")
+	fabricName := flag.String("fabric", "msw", "fabric backend: "+strings.Join(backend.Names(), ", "))
 	m := flag.Int("m", 0, "middle-stage module count (0 = the backend's sufficient nonblocking bound)")
 	x := flag.Int("x", 0, "split limit (0 = construction default)")
 	replicas := flag.Int("replicas", 4, "independent fabric replicas (planes)")
@@ -118,18 +107,6 @@ func main() {
 	peers := flag.String("peers", "", `cluster: shard endpoint list "primary[;standby],..." published at GET /v1/cluster for client-side routing`)
 	syncTimeout := flag.Duration("sync-timeout", 0, "cluster primary: max wait for the standby ack per group commit (0 = default 2s, negative = async shipping)")
 	failoverAfter := flag.Duration("failover-after", 0, "cluster standby: auto-promote after this much primary silence (0 = promote only on POST /v1/admin/promote)")
-
-	// Attack-mode flags.
-	attack := flag.Bool("attack", false, "run as load generator against -target instead of serving")
-	target := flag.String("target", "http://localhost:8047", "attack: base URL of the server")
-	requests := flag.Int("requests", 10000, "attack: total connect attempts")
-	perFabric := flag.Int("workers", 2, "attack: workers per fabric replica")
-	live := flag.Int("live", 6, "attack: per-worker live-session target (offered load knob)")
-	fanout := flag.Int("fanout", 0, "attack: max fanout (0 = worker slice size)")
-	seed := flag.Int64("seed", 1, "attack: PRNG seed")
-	jsonOut := flag.Bool("json", false, "attack: print the report as JSON")
-	chaos := flag.String("chaos", "", `attack: failure-plane schedule, e.g. "fail@10s f0:m2, repair@30s f0:m2"`)
-	retries := flag.Int("retries", 1, "attack: client attempts per request incl. the first (jittered backoff on 429/503)")
 	flag.Parse()
 
 	logger, err := buildLogger(*logFormat)
@@ -139,25 +116,13 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	if *attack {
-		runAttack(*target, *requests, *perFabric, *live, *fanout, *seed, *jsonOut, *chaos, *retries)
-		return
-	}
-
 	model, err := wdm.ParseModel(*modelName)
 	if err != nil {
 		fatal(logger, err)
 	}
-	// -fabric wins; -construction is the pre-backend spelling of the
-	// same choice. Validation is the registry's: any registered backend
-	// name is legal, and the error message enumerates them.
+	// Validation is the registry's: any registered backend name is
+	// legal, and the error message enumerates them.
 	fabName := *fabricName
-	if fabName == "" {
-		fabName = *constrName
-	}
-	if fabName == "" {
-		fabName = "msw"
-	}
 	if _, err := backend.Get(fabName); err != nil {
 		fatal(logger, fmt.Errorf("-fabric: %w", err))
 	}
@@ -234,7 +199,6 @@ func main() {
 	if err != nil {
 		fatal(logger, err)
 	}
-	ctl.Metrics().Publish("switchd")
 	if rec := ctl.Recovery(); rec != nil && len(rec.Sessions) > 0 {
 		logger.Info("recovered sessions from durable log",
 			slog.Int("sessions", len(rec.Sessions)),
@@ -314,38 +278,4 @@ func buildLogger(format string) (*slog.Logger, error) {
 func fatal(logger *slog.Logger, err error) {
 	logger.Error("fatal", slog.String("error", err.Error()))
 	os.Exit(1)
-}
-
-func runAttack(target string, requests, perFabric, live, fanout int, seed int64, jsonOut bool, chaos string, retries int) {
-	events, err := switchd.ParseChaos(chaos)
-	if err != nil {
-		fatal(slog.Default(), err)
-	}
-	rep, err := switchd.Attack(switchd.AttackConfig{
-		BaseURL:          target,
-		Requests:         requests,
-		WorkersPerFabric: perFabric,
-		TargetLive:       live,
-		MaxFanout:        fanout,
-		Seed:             seed,
-		Chaos:            events,
-		Retry:            client.RetryPolicy{MaxAttempts: retries},
-	})
-	if err != nil {
-		fatal(slog.Default(), fmt.Errorf("attack: %w", err))
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(slog.Default(), fmt.Errorf("attack: %w", err))
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Println(rep)
-	if rep.Server.Blocked == 0 {
-		fmt.Println("nonblocking invariant held: server reports blocked == 0")
-	} else {
-		fmt.Printf("server reports %d blocking events (expected iff m is below the sufficient bound)\n", rep.Server.Blocked)
-	}
 }

@@ -2,7 +2,9 @@
 // multicast networks and prints blocking probability as a function of the
 // middle-stage module count m — the executable counterpart of Theorems 1
 // and 2 (there is no empirical section in the paper; this regenerates the
-// repository's validation series documented in EXPERIMENTS.md).
+// repository's validation series documented in EXPERIMENTS.md). The
+// traffic is the internal/traffic engine's, driving each network in
+// process; every sweep point runs concurrently.
 //
 // Usage:
 //
@@ -19,7 +21,7 @@ import (
 
 	"repro/internal/multistage"
 	"repro/internal/report"
-	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
@@ -30,11 +32,10 @@ func main() {
 	modelName := flag.String("model", "msw", "multicast model: msw, msdw, maw")
 	constrName := flag.String("construction", "msw", "construction: msw (MSW-dominant) or maw (MAW-dominant)")
 	requests := flag.Int("requests", 4000, "number of connection arrivals per point")
-	load := flag.Float64("load", 12, "offered load (mean arrivals per mean holding time)")
+	load := flag.Float64("load", 12, "offered load in Erlangs (mean arrivals per mean holding time)")
 	maxFanout := flag.Int("fanout", 0, "max fanout (0 = N)")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	repack := flag.Bool("repack", false, "rearrangeable operation: retry blocked requests with repacking")
-	parallel := flag.Bool("parallel", false, "run the sweep points concurrently")
 	byFanout := flag.Bool("by-fanout", false, "also print blocking stratified by fanout (largest m only)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 	nSeeds := flag.Int("seeds", 1, "seeds per point (seed, seed+1, ...); >1 adds per-point aggregates")
@@ -55,53 +56,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wdmsim: -construction must be msw or maw")
 		os.Exit(2)
 	}
+	if *nSeeds < 1 {
+		fmt.Fprintln(os.Stderr, "wdmsim: -seeds must be at least 1")
+		os.Exit(2)
+	}
 
 	base := multistage.Params{N: *n, K: *k, R: *r, Model: model, Construction: constr, Lite: true}
-	ms := sim.DefaultMs(constr, base)
+	ms := traffic.DefaultMs(constr, base)
 	sort.Ints(ms)
-
-	cfg := sim.Config{
-		Seed: *seed, Requests: *requests, Load: *load, MaxFanout: *maxFanout,
-		Repack: *repack,
+	seeds := make([]int64, *nSeeds)
+	for i := range seeds {
+		seeds[i] = *seed + int64(i)
 	}
-	sweep := sim.SweepM
-	if *parallel {
-		sweep = sim.SweepMParallel
+	cfg := traffic.MSweepConfig{
+		Base: base, Ms: ms, Seeds: seeds, Repack: *repack,
+		Engine: traffic.Config{Arrivals: *requests, Erlangs: *load, MaxFanout: *maxFanout},
 	}
-	points, err := sweep(base, ms, cfg)
+	points, err := traffic.SweepM(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wdmsim:", err)
 		os.Exit(1)
 	}
 
-	// Per-point multi-seed aggregates (satellite of the serving-mode PR:
-	// lets scripts diff server-vs-offline blocking numbers with spread).
-	var aggs []*sim.Aggregate
-	if *nSeeds > 1 {
-		norm0, _ := base.Normalize()
-		seedList := make([]int64, *nSeeds)
-		for i := range seedList {
-			seedList[i] = *seed + int64(i)
-		}
-		for _, pt := range points {
-			p := base
-			p.M = pt.M
-			p.Lite = true
-			acfg := cfg
-			acfg.Dim = wdm.Dim{N: norm0.N, K: norm0.K}
-			acfg.Model = norm0.Model
-			acfg.IsBlocked = multistage.IsBlocked
-			agg, err := sim.RunSeeds(func() (sim.Network, error) { return multistage.New(p) }, acfg, seedList)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wdmsim:", err)
-				os.Exit(1)
-			}
-			aggs = append(aggs, agg)
-		}
-	}
-
 	if *jsonOut {
-		emitJSON(base, points, aggs, cfg, *nSeeds, *repack)
+		emitJSON(base, points, cfg, *seed, *repack)
 		return
 	}
 
@@ -124,53 +102,62 @@ func main() {
 			}
 			note += "sufficient bound"
 		}
+		s := pt.Total()
 		t.AddRow(report.Int(pt.M),
-			report.Int(pt.Result.Offered), report.Int(pt.Result.Routed), report.Int(pt.Result.Blocked),
-			report.Int(pt.Result.Repacked),
-			report.Float(pt.Result.BlockingProbability(), 4), note)
+			report.Int(s.Offered()), report.Int(s.Routed), report.Int(s.BlockedTotal()),
+			report.Int(pt.Repacked), report.Float(s.PBlock(), 4), note)
 	}
 	t.Footnote = fmt.Sprintf("n=%d per module; x=%d; expectation: P_block = 0 at and above the sufficient bound",
 		norm.N/norm.R, norm.X)
 	t.Fprint(os.Stdout)
 
-	if len(aggs) > 0 {
+	if *nSeeds > 1 {
 		fmt.Println()
 		at := report.New(fmt.Sprintf("Aggregate over %d seeds (seed %d..%d)", *nSeeds, *seed, *seed+int64(*nSeeds)-1),
 			"m", "mean P_block", "max P_block", "stddev", "blocked", "offered")
-		for i, agg := range aggs {
-			at.AddRow(report.Int(points[i].M),
-				report.Float(agg.MeanP, 4), report.Float(agg.MaxP, 4), report.Float(agg.StddevP, 4),
-				report.Int(agg.Blocked), report.Int(agg.Offered))
+		for _, pt := range points {
+			mean, max, sd := pt.Spread()
+			s := pt.Total()
+			at.AddRow(report.Int(pt.M),
+				report.Float(mean, 4), report.Float(max, 4), report.Float(sd, 4),
+				report.Int(s.BlockedTotal()), report.Int(s.Offered()))
 		}
 		at.Fprint(os.Stdout)
 	}
 
 	if *byFanout && len(points) > 0 {
 		last := points[len(points)-1]
+		total := last.Total()
+		strata := total.ByFanout()
 		fmt.Println()
 		ft := report.New(fmt.Sprintf("Blocking by fanout at m=%d", last.M),
 			"fanout", "offered", "blocked", "P_block")
-		fanouts := make([]int, 0, len(last.Result.ByFanout))
-		for f := range last.Result.ByFanout {
+		fanouts := make([]int, 0, len(strata))
+		for f := range strata {
 			fanouts = append(fanouts, f)
 		}
 		sort.Ints(fanouts)
 		for _, f := range fanouts {
-			s := last.Result.ByFanout[f]
+			s := strata[f]
 			ft.AddRow(report.Int(f), report.Int(s.Offered), report.Int(s.Blocked),
-				report.Float(last.Result.BlockingProbabilityAtFanout(f), 4))
+				report.Float(float64(s.Blocked)/float64(s.Offered), 4))
 		}
 		ft.Fprint(os.Stdout)
 	}
 }
 
-// jsonPoint is one sweep sample in -json output.
+// jsonPoint is one sweep sample in -json output: the point's totals over
+// every seed, plus the per-seed spread.
 type jsonPoint struct {
-	M         int            `json:"m"`
-	AtBound   bool           `json:"at_bound"`
-	PaperMinM int            `json:"paper_min_m"`
-	Result    sim.Result     `json:"result"`
-	Aggregate *sim.Aggregate `json:"aggregate,omitempty"`
+	M         int           `json:"m"`
+	AtBound   bool          `json:"at_bound"`
+	PaperMinM int           `json:"paper_min_m"`
+	Result    traffic.Stats `json:"result"`
+	PBlock    float64       `json:"p_block"`
+	Repacked  int           `json:"repacked"`
+	MeanP     float64       `json:"mean_p_block"`
+	MaxP      float64       `json:"max_p_block"`
+	StddevP   float64       `json:"stddev_p_block"`
 }
 
 // jsonDoc is the -json document: enough configuration to rebuild the
@@ -193,7 +180,7 @@ type jsonDoc struct {
 	Points       []jsonPoint `json:"points"`
 }
 
-func emitJSON(base multistage.Params, points []sim.SweepPoint, aggs []*sim.Aggregate, cfg sim.Config, nSeeds int, repack bool) {
+func emitJSON(base multistage.Params, points []traffic.MPoint, cfg traffic.MSweepConfig, seed int64, repack bool) {
 	norm, err := base.Normalize()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wdmsim:", err)
@@ -205,18 +192,17 @@ func emitJSON(base multistage.Params, points []sim.SweepPoint, aggs []*sim.Aggre
 		X:            norm.X,
 		Model:        norm.Model.String(),
 		Construction: norm.Construction.String(),
-		Requests:     cfg.Requests,
-		Load:         cfg.Load,
-		MaxFanout:    cfg.MaxFanout,
-		Seed:         cfg.Seed,
-		Seeds:        nSeeds,
+		Requests:     cfg.Engine.Arrivals,
+		Load:         cfg.Engine.Erlangs,
+		MaxFanout:    cfg.Engine.MaxFanout,
+		Seed:         seed,
+		Seeds:        len(cfg.Seeds),
 		Rearrange:    repack,
 	}
-	for i, pt := range points {
-		jp := jsonPoint{M: pt.M, AtBound: pt.AtBound, PaperMinM: pt.PaperMin, Result: pt.Result}
-		if i < len(aggs) {
-			jp.Aggregate = aggs[i]
-		}
+	for _, pt := range points {
+		s := pt.Total()
+		jp := jsonPoint{M: pt.M, AtBound: pt.AtBound, PaperMinM: pt.PaperMin, Result: s, PBlock: s.PBlock(), Repacked: pt.Repacked}
+		jp.MeanP, jp.MaxP, jp.StddevP = pt.Spread()
 		doc.Points = append(doc.Points, jp)
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -80,11 +80,23 @@ type Envelope struct {
 	Error *Error `json:"error"`
 }
 
-// StatusFor maps an error code to its HTTP status line.
-func StatusFor(code string) int {
+// IsBlockedCode reports whether code is the fabric's blocked class:
+// the generic code or a backend-specific sub-code (wavelength_conflict
+// on awg, split_incapable on mesh). All of them travel as HTTP 409.
+func IsBlockedCode(code string) bool {
 	switch code {
 	case CodeBlocked, CodeWavelengthConflict, CodeSplitIncapable:
+		return true
+	}
+	return false
+}
+
+// StatusFor maps an error code to its HTTP status line.
+func StatusFor(code string) int {
+	if IsBlockedCode(code) {
 		return http.StatusConflict
+	}
+	switch code {
 	case CodeAdmissionFull:
 		return http.StatusTooManyRequests
 	case CodeDraining, CodeFabricFailed, CodeStorageFailed, CodeNotPrimary:

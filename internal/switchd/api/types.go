@@ -111,7 +111,7 @@ type OpLatency struct {
 }
 
 // Snapshot is the JSON form of the metrics registry, served at
-// GET /v1/metrics and published to expvar. The route_* fields aggregate
+// GET /v1/metrics. The route_* fields aggregate
 // connect+branch — the fabric routing operations — and predate the
 // per-op split in Ops; they are kept for compatibility with existing
 // consumers.

@@ -361,13 +361,7 @@ func (c *Client) Version(ctx context.Context) (api.VersionInfo, error) {
 // when fabric occupancy does, and split_incapable never changes (the
 // request is structurally unrealizable on its backend — see
 // IsPermanent).
-func IsBlocked(err error) bool {
-	switch api.CodeOf(err) {
-	case api.CodeBlocked, api.CodeWavelengthConflict, api.CodeSplitIncapable:
-		return true
-	}
-	return false
-}
+func IsBlocked(err error) bool { return api.IsBlockedCode(api.CodeOf(err)) }
 
 // IsPermanent reports whether err can never succeed no matter how
 // fabric state evolves: split_incapable means the mesh backend's

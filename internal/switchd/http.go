@@ -3,7 +3,6 @@ package switchd
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -40,7 +39,6 @@ import (
 //	GET  /v1/debug/blocking (forensics ring buffer: recent blocking incidents)
 //	GET  /v1/debug/spans    (tail-sampled completed traces; ?blocked=1, ?trace=ID, ?limit=N)
 //	GET  /v1/debug/trace    (?fabric=N; replayable serving history, needs Config.CaptureTrace)
-//	GET  /debug/vars        (standard expvar, includes the published registry)
 //
 // Every serving request runs under a span (see internal/obs/span): an
 // inbound W3C traceparent header is joined, otherwise a fresh trace id
@@ -82,7 +80,6 @@ func (ctl *Controller) Handler() http.Handler {
 	mux.HandleFunc("/v1/debug/trace", ctl.handleDebugTrace)
 	mux.HandleFunc("/v1/debug/prof", ctl.handleDebugProf)
 	mux.HandleFunc("/v1/debug/tsdb", ctl.handleDebugTSDB)
-	mux.Handle("/debug/vars", expvar.Handler())
 	return ctl.tracer.Middleware(mux)
 }
 

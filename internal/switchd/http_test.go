@@ -157,19 +157,3 @@ func TestHTTPStatusMapping(t *testing.T) {
 		t.Fatalf("status after drain: code %d %+v", code, st)
 	}
 }
-
-func TestExpvarPublish(t *testing.T) {
-	ctl := newTestController(t, Config{Fabric: testParams()})
-	ctl.Metrics().Publish("switchd-test")
-	ctl.Metrics().Publish("switchd-test") // second publish must not panic
-
-	var vars struct {
-		Switchd *Snapshot `json:"switchd-test"`
-	}
-	if code := do(t, ctl.Handler(), "GET", "/debug/vars", "", &vars); code != http.StatusOK {
-		t.Fatalf("/debug/vars: code %d", code)
-	}
-	if vars.Switchd == nil || vars.Switchd.Model != "MSW" {
-		t.Fatalf("/debug/vars missing published registry: %+v", vars.Switchd)
-	}
-}

@@ -1,7 +1,6 @@
 package switchd
 
 import (
-	"expvar"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,16 +297,4 @@ func HistQuantileMicros(buckets []LatencyBucket, q float64) float64 {
 		}
 	}
 	return lo
-}
-
-// Publish registers the registry with the process-global expvar
-// namespace under the given name, making it visible at the standard
-// /debug/vars endpoint. Publishing the same name twice is a no-op (the
-// first registration wins), so tests constructing many controllers can
-// call it freely.
-func (m *Metrics) Publish(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }

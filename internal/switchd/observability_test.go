@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/multistage"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
@@ -266,19 +267,12 @@ func TestTraceCaptureReplay(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         2000,
-		WorkersPerFabric: 2,
-		TargetLive:       6,
-		Seed:             7,
+	rep := runLoad(t, srv, traffic.Config{
+		Arrivals: 2000, WorkersPerFabric: 2, TargetLive: 6, Seed: 7,
 	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
-	if rep.Server.Blocked == 0 {
-		t.Fatalf("no blocking below the bound (report: %v)", rep)
+	serverBlocked := ctl.Metrics().Snapshot().Blocked
+	if serverBlocked == 0 {
+		t.Fatalf("no blocking below the bound (outcomes: %v)", rep.Stats.Outcomes)
 	}
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/debug/trace?fabric=0")
@@ -303,8 +297,8 @@ func TestTraceCaptureReplay(t *testing.T) {
 	if blocked == 0 {
 		t.Fatal("captured trace holds no blocked event")
 	}
-	if int64(blocked) != rep.Server.Blocked {
-		t.Fatalf("trace holds %d blocked events, server counted %d", blocked, rep.Server.Blocked)
+	if int64(blocked) != serverBlocked {
+		t.Fatalf("trace holds %d blocked events, server counted %d", blocked, serverBlocked)
 	}
 
 	// Replay against a fresh fabric of identical parameters: the router

@@ -16,6 +16,7 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/obs"
 	"repro/internal/switchd/api"
+	"repro/internal/switchd/client"
 	"repro/internal/traffic"
 	"repro/internal/wdm"
 	"repro/internal/workload"
@@ -384,6 +385,22 @@ func pickGrowSlot(free *traffic.SlotPool, c wdm.Connection) (wdm.PortWave, bool)
 	return wdm.PortWave{}, false
 }
 
+// runLoad drives the traffic engine against srv (max-rate closed loop
+// unless cfg sets Erlangs) and returns the run's report.
+func runLoad(t *testing.T, srv *httptest.Server, cfg traffic.Config) traffic.Report {
+	t.Helper()
+	cfg.Client = client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+	eng, err := traffic.NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("traffic.NewEngine: %v", err)
+	}
+	rep, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("traffic run: %v", err)
+	}
+	return rep
+}
+
 // TestNonblockingInvariantAtBound runs the full serving loop — HTTP
 // server, concurrent load-generator workers, metrics endpoint — with
 // every fabric at the Theorem 1 sufficient bound and asserts the
@@ -396,29 +413,22 @@ func TestNonblockingInvariantAtBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         10000,
-		WorkersPerFabric: 2,
-		TargetLive:       4,
-		Seed:             7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
+	rep := runLoad(t, srv, traffic.Config{
+		Arrivals: 10000, WorkersPerFabric: 2, TargetLive: 4, Seed: 7,
+	}).Stats
+	server := ctl.Metrics().Snapshot()
 	if rep.Connects < 10000 {
 		t.Fatalf("only %d connects offered, want >= 10000", rep.Connects)
 	}
-	if rep.Blocked != 0 || rep.Server.Blocked != 0 {
-		t.Fatalf("blocked: client=%d server=%d at the sufficient bound, want 0 (report: %v)",
-			rep.Blocked, rep.Server.Blocked, rep)
+	if rep.Blocked != 0 || server.Blocked != 0 {
+		t.Fatalf("blocked: client=%d server=%d at the sufficient bound, want 0 (outcomes: %v)",
+			rep.Blocked, server.Blocked, rep.Outcomes)
 	}
-	if rep.Server.ConnectOK != int64(rep.Routed) {
-		t.Fatalf("server connect_ok=%d != client routed=%d", rep.Server.ConnectOK, rep.Routed)
+	if server.ConnectOK != int64(rep.Routed) {
+		t.Fatalf("server connect_ok=%d != client routed=%d", server.ConnectOK, rep.Routed)
 	}
 	if ctl.ActiveSessions() != 0 {
-		t.Fatalf("sessions leaked: %d live after attack", ctl.ActiveSessions())
+		t.Fatalf("sessions leaked: %d live after the load run", ctl.ActiveSessions())
 	}
 	// The Prometheus exposition must agree: zero blocked over the whole
 	// run, with the routed totals matching the JSON snapshot.
@@ -426,8 +436,8 @@ func TestNonblockingInvariantAtBound(t *testing.T) {
 	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != 0 {
 		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want 0 at the bound", v, ok)
 	}
-	if v, ok := pm.Value("wdm_connect_total", nil); !ok || v != float64(rep.Server.ConnectOK) {
-		t.Fatalf("/metrics wdm_connect_total = %v, %v; want %d", v, ok, rep.Server.ConnectOK)
+	if v, ok := pm.Value("wdm_connect_total", nil); !ok || v != float64(server.ConnectOK) {
+		t.Fatalf("/metrics wdm_connect_total = %v, %v; want %d", v, ok, server.ConnectOK)
 	}
 }
 
@@ -464,28 +474,21 @@ func TestBlockingObservableBelowBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         3000,
-		WorkersPerFabric: 2,
-		TargetLive:       6,
-		Seed:             7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
+	rep := runLoad(t, srv, traffic.Config{
+		Arrivals: 3000, WorkersPerFabric: 2, TargetLive: 6, Seed: 7,
+	}).Stats
+	server := ctl.Metrics().Snapshot()
+	if server.Blocked == 0 {
+		t.Fatalf("no blocking observed below the bound (outcomes: %v)", rep.Outcomes)
 	}
-	if rep.Server.Blocked == 0 {
-		t.Fatalf("no blocking observed below the bound (report: %v)", rep)
-	}
-	if rep.Blocked != int(rep.Server.Blocked) {
-		t.Fatalf("client saw %d blocks, server counted %d", rep.Blocked, rep.Server.Blocked)
+	if rep.Blocked != int(server.Blocked) {
+		t.Fatalf("client saw %d blocks, server counted %d", rep.Blocked, server.Blocked)
 	}
 	if rep.Outcomes[api.CodeBlocked] != rep.Blocked {
 		t.Fatalf("outcomes[blocked] = %d, want %d", rep.Outcomes[api.CodeBlocked], rep.Blocked)
 	}
 	pm := scrapeProm(t, srv.Client(), srv.URL)
-	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != float64(rep.Server.Blocked) {
-		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want %d", v, ok, rep.Server.Blocked)
+	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != float64(server.Blocked) {
+		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want %d", v, ok, server.Blocked)
 	}
 }

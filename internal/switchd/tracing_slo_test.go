@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
+	"repro/internal/traffic"
 )
 
 // postConnect issues POST /v1/connect, optionally under a traceparent,
@@ -71,7 +73,7 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 	p.X = 1
 	ctl := newTestController(t, Config{
 		Fabric: p, Replicas: 1, Shards: 4,
-		// Keep every trace: the ring must outlast the whole attack so
+		// Keep every trace: the ring must outlast the whole load run so
 		// client-recorded ids always resolve.
 		Spans: span.Config{Capacity: 4096, SampleEvery: 1},
 	})
@@ -81,21 +83,24 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 
 	// Phase 1 — the load generator tags every connect with a fresh
 	// traceparent and reports the ids of blocked and slowest requests.
-	rep, err := Attack(AttackConfig{
-		BaseURL: srv.URL, Client: client,
-		Requests: 600, WorkersPerFabric: 2, TargetLive: 6, Seed: 7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
+	rep := runLoad(t, srv, traffic.Config{
+		Arrivals: 600, WorkersPerFabric: 2, TargetLive: 6, Seed: 7,
+	}).Stats
 	if rep.Blocked == 0 {
-		t.Fatalf("no blocking at m=1; cannot exercise the trace join (report: %v)", rep)
+		t.Fatalf("no blocking at m=1; cannot exercise the trace join (outcomes: %v)", rep.Outcomes)
 	}
-	if len(rep.BlockedTraces) == 0 || len(rep.SlowestTraces) == 0 {
-		t.Fatalf("loadgen recorded no trace refs: blocked=%d slowest=%d",
-			len(rep.BlockedTraces), len(rep.SlowestTraces))
+	var blockedTraces []traffic.TraceRef
+	for _, ref := range rep.Traces {
+		if api.IsBlockedCode(ref.Outcome) {
+			blockedTraces = append(blockedTraces, ref)
+		}
 	}
-	for _, ref := range rep.BlockedTraces {
+	slowest := append([]traffic.TraceRef(nil), rep.Traces...)
+	sort.Slice(slowest, func(i, j int) bool { return slowest[i].Micros > slowest[j].Micros })
+	if len(blockedTraces) == 0 || len(slowest) == 0 || len(slowest[0].TraceID) != 32 {
+		t.Fatalf("load recorded no trace refs: blocked=%d traced=%d", len(blockedTraces), len(slowest))
+	}
+	for _, ref := range blockedTraces {
 		if len(ref.TraceID) != 32 {
 			t.Fatalf("blocked trace ref %q is not a 32-hex trace id", ref.TraceID)
 		}
@@ -104,13 +109,13 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 		}
 	}
 	// A client-recorded blocked id resolves in the span ring.
-	got := fetchSpans(t, client, srv.URL, "?trace="+rep.BlockedTraces[0].TraceID)
+	got := fetchSpans(t, client, srv.URL, "?trace="+blockedTraces[0].TraceID)
 	if len(got.Traces) != 1 || !got.Traces[0].Blocked {
-		t.Fatalf("attack-blocked trace %s not in ring as blocked (got %d traces)",
-			rep.BlockedTraces[0].TraceID, len(got.Traces))
+		t.Fatalf("load-blocked trace %s not in ring as blocked (got %d traces)",
+			blockedTraces[0].TraceID, len(got.Traces))
 	}
 
-	// Phase 2 — deterministic tail. The attack released its sessions, so
+	// Phase 2 — deterministic tail. The load run released its sessions, so
 	// rebuild the blocking state and drive one blocked connect under a
 	// traceparent the test owns end to end.
 	if resp := postConnect(t, client, srv.URL, "0.0>4.0", "", nil); resp.StatusCode != http.StatusOK {
@@ -283,15 +288,11 @@ func TestSLOHealthyAtBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL: srv.URL, Client: srv.Client(),
-		Requests: 400, WorkersPerFabric: 2, TargetLive: 4, Seed: 11,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
+	rep := runLoad(t, srv, traffic.Config{
+		Arrivals: 400, WorkersPerFabric: 2, TargetLive: 4, Seed: 11,
+	}).Stats
 	if rep.Blocked != 0 {
-		t.Fatalf("blocked at the bound: %v", rep)
+		t.Fatalf("blocked at the bound: %v", rep.Outcomes)
 	}
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/slo")

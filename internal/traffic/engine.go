@@ -44,11 +44,11 @@ type ChurnConfig struct {
 
 // Config parameterizes one engine run. Erlangs > 0 selects the
 // virtual-time arrival-process mode; otherwise the engine runs the
-// max-rate closed loop (the legacy -attack behavior) paced by
-// TargetLive.
+// max-rate closed loop paced by TargetLive.
 type Config struct {
-	// Client is the typed /v1 client aimed at the target server.
-	Client *client.Client
+	// Client is the target: the typed /v1 client aimed at a server, or
+	// a Local over in-process planes.
+	Client Target
 	// Seed drives every per-worker PRNG.
 	Seed int64
 	// Arrivals is the total connect-arrival budget across all workers
@@ -91,8 +91,7 @@ type Config struct {
 
 	// TargetLive is the max-rate mode's per-worker live-session
 	// high-water mark: the worker disconnects its oldest session before
-	// connecting past it (default 8) — the offered-load knob of the
-	// legacy -attack.
+	// connecting past it (default 8) — the max-rate offered-load knob.
 	TargetLive int
 
 	// StreamLog, when set, receives the run's request stream: one line
@@ -242,7 +241,7 @@ func (e *Engine) Run(ctx context.Context) (Report, error) {
 type streamBuffer struct{ buf []byte }
 
 func (b *streamBuffer) printf(format string, args ...any) {
-	b.buf = append(b.buf, fmt.Sprintf(format, args...)...)
+	b.buf = fmt.Appendf(b.buf, format, args...)
 }
 
 // liveSession is one routed session the engine still holds.
@@ -256,7 +255,7 @@ type liveSession struct {
 // own PRNG, arrival process, and free-slot bookkeeping.
 type worker struct {
 	cfg    *Config
-	cl     *client.Client
+	cl     Target
 	prog   *Progress
 	stats  Stats
 	log    *streamBuffer
@@ -363,7 +362,7 @@ func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 		return offerRejected, liveSession{}
 	case outcome == api.CodeFabricFailed:
 		return offerFailed, liveSession{}
-	case IsBlockedCode(outcome):
+	case api.IsBlockedCode(outcome):
 		w.stats.Blocked++
 		return offerBlocked, liveSession{}
 	default:
@@ -403,7 +402,9 @@ func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb 
 	})
 	w.stats.Outcomes[outcome]++
 	w.prog.offered.Add(1)
-	w.logf("%s %s -> %s\n", verb, connStr, outcome)
+	if w.log != nil {
+		w.log.printf("%s %s -> %s\n", verb, connStr, outcome)
+	}
 	if outcome == "ok" {
 		w.stats.Routed++
 		w.prog.routed.Add(1)
@@ -413,21 +414,10 @@ func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb 
 		}
 		return outcome, liveSession{id: cr.Session, conn: conn}, false
 	}
-	if IsBlockedCode(outcome) {
+	if api.IsBlockedCode(outcome) {
 		w.prog.blocked.Add(1)
 	}
 	return outcome, liveSession{}, false
-}
-
-// IsBlockedCode reports whether a stable code is the fabric's blocked
-// class: the generic code or a backend-specific sub-code
-// (wavelength_conflict on awg, split_incapable on mesh).
-func IsBlockedCode(code string) bool {
-	switch code {
-	case api.CodeBlocked, api.CodeWavelengthConflict, api.CodeSplitIncapable:
-		return true
-	}
-	return false
 }
 
 // disconnect tears one session down and frees its slots. not_found
@@ -447,20 +437,25 @@ func (w *worker) disconnect(ctx context.Context, s liveSession) bool {
 	for _, d := range s.conn.Dests {
 		w.freeDst.Put(d)
 	}
-	w.logf("disconnect %s\n", wdm.FormatConnection(s.conn))
+	if w.log != nil {
+		w.log.printf("disconnect %s\n", wdm.FormatConnection(s.conn))
+	}
 	return true
 }
 
-func (w *worker) logf(format string, args ...any) {
+// logTime starts a stream-log line with the event's virtual time.
+// Every stream-log write is guarded by w.log != nil, so a run without
+// a StreamLog formats and boxes nothing.
+func (w *worker) logTime(now float64) {
 	if w.log != nil {
-		w.log.printf(format, args...)
+		w.log.printf("t=%.6f ", now)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Max-rate mode: the legacy -attack closed loop. Connect until the
-// live target is reached, then recycle oldest-first, keeping every
-// request admissible within the private port slice.
+// Max-rate mode: a closed loop. Connect until the live target is
+// reached, then recycle oldest-first, keeping every request admissible
+// within the private port slice.
 
 func (w *worker) runMaxRate(ctx context.Context, attempts int) {
 	var live []liveSession
@@ -603,13 +598,15 @@ func (w *worker) runErlang(ctx context.Context, arrivals int) {
 			done++
 			if w.cfg.MaxLive > 0 && len(live) >= w.cfg.MaxLive {
 				w.stats.Unoffered++
-				w.logf("t=%.6f clamped\n", now)
+				if w.log != nil {
+					w.log.printf("t=%.6f clamped\n", now)
+				}
 				if done < arrivals {
 					push(now+arr.Next(w.rng)/lambda, evArrival, 0)
 				}
 				continue
 			}
-			w.logf("t=%.6f ", now)
+			w.logTime(now)
 			outcome, sess := w.offer(ctx)
 			if outcome == offerError {
 				return
@@ -626,7 +623,7 @@ func (w *worker) runErlang(ctx context.Context, arrivals int) {
 				continue // shrunk away after a lost re-admit
 			}
 			delete(live, ev.sess)
-			w.logf("t=%.6f ", now)
+			w.logTime(now)
 			if !w.disconnect(ctx, sess) {
 				return
 			}
@@ -685,12 +682,12 @@ func (w *worker) churnGrow(ctx context.Context, sess liveSession, now float64) (
 		w.freeDst.Take(slot)
 		sess.conn.Dests = append(sess.conn.Dests, slot)
 		sess.conn = sess.conn.Normalize()
-		w.logf("t=%.6f branch %s += %s -> ok\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot))
+		w.logBranch(now, sess.conn, slot, nil)
 		return sess, false
 	case client.IsBlocked(err):
 		w.stats.BranchBlocked++
 		w.prog.blocked.Add(1)
-		w.logf("t=%.6f branch %s += %s -> %s\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot), api.CodeOf(err))
+		w.logBranch(now, sess.conn, slot, err)
 		return sess, false
 	case api.IsCode(err, api.CodeNotFound):
 		w.stats.Lost++
@@ -698,12 +695,26 @@ func (w *worker) churnGrow(ctx context.Context, sess liveSession, now float64) (
 	default:
 		if code := api.CodeOf(err); code != "" {
 			// Transient server-side refusal (draining, storage): skip.
-			w.logf("t=%.6f branch %s -> %s\n", now, wdm.FormatConnection(sess.conn), code)
+			if w.log != nil {
+				w.log.printf("t=%.6f branch %s -> %s\n", now, wdm.FormatConnection(sess.conn), code)
+			}
 			return sess, false
 		}
 		w.stats.Err = fmt.Errorf("traffic: branch session %d: %w", sess.id, err)
 		return sess, true
 	}
+}
+
+// logBranch logs a grow's answer: ok, or the code err carries.
+func (w *worker) logBranch(now float64, c wdm.Connection, slot wdm.PortWave, err error) {
+	if w.log == nil {
+		return
+	}
+	outcome := "ok"
+	if err != nil {
+		outcome = api.CodeOf(err)
+	}
+	w.log.printf("t=%.6f branch %s += %s -> %s\n", now, wdm.FormatConnection(c), wdm.FormatSlot(slot), outcome)
 }
 
 // churnShrink partially tears a session down: disconnect, then
@@ -725,7 +736,8 @@ func (w *worker) churnShrink(ctx context.Context, sess liveSession, now float64)
 	}
 	smaller = smaller.Normalize()
 	w.stats.Shrinks++
-	outcome, next, fatal := w.admitConnection(ctx, smaller, fmt.Sprintf("t=%.6f shrink", now))
+	w.logTime(now)
+	outcome, next, fatal := w.admitConnection(ctx, smaller, "shrink")
 	if fatal {
 		return sess, false, true
 	}

@@ -1,8 +1,8 @@
 // Engine tests run against a real in-process switchd over HTTP — the
 // same serving loop wdmload drives — so blocking counts, churn
 // semantics, and the determinism guarantee are asserted end to end.
-// They live in package traffic_test because switchd itself imports
-// traffic (the -attack wrapper).
+// They live in package traffic_test so they can import switchd, whose
+// own tests drive the engine.
 package traffic_test
 
 import (
@@ -90,8 +90,8 @@ func TestErlangModeAtBound(t *testing.T) {
 	}
 }
 
-// TestMaxRateModeAtBound covers the legacy -attack path through the
-// same engine: TargetLive-paced closed loop, still zero blocking at
+// TestMaxRateModeAtBound covers the max-rate closed loop (wdmload
+// -mode steady -erlangs 0): TargetLive-paced, still zero blocking at
 // the bound.
 func TestMaxRateModeAtBound(t *testing.T) {
 	ctl, srv := newTestServer(t, 0, 0, 1)

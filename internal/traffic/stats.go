@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/switchd/api"
 )
 
 // TraceRef is one connect the client can follow server-side by trace
@@ -141,6 +143,29 @@ func (s *Stats) merge(src Stats) {
 	if s.Err == nil {
 		s.Err = src.Err
 	}
+}
+
+// FanoutCount is one fanout's slice of a run.
+type FanoutCount struct {
+	Offered int `json:"offered"`
+	Blocked int `json:"blocked"`
+}
+
+// ByFanout stratifies the run's connect-class requests by fanout (read
+// from Traces): large multicasts need more middle-stage coverage and
+// block first, and this shows by how much.
+func (s *Stats) ByFanout() map[int]FanoutCount {
+	out := map[int]FanoutCount{}
+	for _, t := range s.Traces {
+		f := strings.Count(t.Conn, ",") + 1
+		fc := out[f]
+		fc.Offered++
+		if api.IsBlockedCode(t.Outcome) {
+			fc.Blocked++
+		}
+		out[f] = fc
+	}
+	return out
 }
 
 // PhaseMeans converts the Server-Timing accumulation into mean

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/switchd/api"
-	"repro/internal/switchd/client"
 )
 
 // SweepConfig drives offered load through a sequence of Erlang steps.
@@ -216,7 +215,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 // Erlangs and the cumulative block rate. Report failures are ignored —
 // the target may be unreachable mid-chaos, and result accounting never
 // depends on the reports landing.
-func ReportLoop(ctx context.Context, cl *client.Client, prog *Progress, erlangs float64) {
+func ReportLoop(ctx context.Context, cl Target, prog *Progress, erlangs float64) {
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
 	lastOffered, lastRouted := int64(0), int64(0)

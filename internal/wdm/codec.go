@@ -18,8 +18,12 @@ import (
 // these forms round-trip.
 
 // FormatSlot renders a slot as "<port>.<wave>".
-func FormatSlot(pw PortWave) string {
-	return fmt.Sprintf("%d.%d", pw.Port, pw.Wave)
+func FormatSlot(pw PortWave) string { return string(appendSlot(nil, pw)) }
+
+func appendSlot(b []byte, pw PortWave) []byte {
+	b = strconv.AppendInt(b, int64(pw.Port), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(pw.Wave), 10)
 }
 
 // ParseSlot parses FormatSlot's output.
@@ -44,16 +48,16 @@ func ParseSlot(s string) (PortWave, error) {
 
 // FormatConnection renders a connection as "<src>><dst>,<dst>...".
 func FormatConnection(c Connection) string {
-	var b strings.Builder
-	b.WriteString(FormatSlot(c.Source))
-	b.WriteByte('>')
+	b := make([]byte, 0, 8*(1+len(c.Dests)))
+	b = appendSlot(b, c.Source)
+	b = append(b, '>')
 	for i, d := range c.Dests {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(FormatSlot(d))
+		b = appendSlot(b, d)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ParseConnection parses FormatConnection's output.
